@@ -28,12 +28,7 @@ def test_ablation_hidden_width(benchmark, ctx, emit):
         rows = []
         for width in WIDTHS:
             result = repeated_random_subsampling(
-                partial(
-                    NeuralNetworkModel,
-                    hidden_units=width,
-                    n_restarts=1,
-                    batched_restarts=True,
-                ),
+                partial(NeuralNetworkModel, hidden_units=width, n_restarts=1),
                 X,
                 y,
                 repetitions=5,

@@ -8,7 +8,9 @@ the stacked (batched) steady-state solver or a warm
 
 Each run appends its throughput numbers to ``results/BENCH_engine.json``
 (scenarios/s, batched-vs-serial speedup, the bit-identity verdict) so CI
-can archive the trajectory alongside the other BENCH files.
+can archive the trajectory alongside the other BENCH files.  "Serial"
+here is :func:`_collect_per_scenario`, a loop of one ``engine.run`` per
+Table V cell that reproduces ``collect_training_data``'s dataset.
 
 Set ``REPRO_SMOKE=1`` for the reduced configuration used by
 ``make bench-smoke`` (a routine throughput-regression check).
@@ -18,8 +20,13 @@ import json
 import os
 import time
 
+import numpy as np
+
+from repro.core.features import observation_from_profiles
 from repro.harness.baselines import collect_baselines
 from repro.harness.collection import collect_training_data
+from repro.harness.datasets import ObservationDataset
+from repro.harness.parallel import spawn_streams
 from repro.machine import XEON_E5649
 from repro.sim import SimulationEngine, SolveCache
 from repro.workloads.suite import get_application
@@ -66,8 +73,6 @@ def test_model_fit_linear(benchmark, ctx):
 
 
 def test_model_fit_neural(benchmark, ctx):
-    import numpy as np
-
     from repro.core.feature_sets import FeatureSet
     from repro.core.features import feature_matrix
     from repro.core.neural import NeuralNetworkModel
@@ -94,28 +99,62 @@ def _table5_kwargs():
     )
 
 
+def _collect_per_scenario(engine, baselines, rng, targets, co_apps, counts):
+    """The Table V dataset from one ``engine.run`` per scenario.
+
+    Same scenario order and per-scenario noise streams as
+    :func:`~repro.harness.collection.collect_training_data`, so the two
+    produce the identical dataset; this loop is the unbatched yardstick
+    the speedup floors are measured against.
+    """
+    scenarios = [
+        (target, co_app, count, pstate)
+        for pstate in engine.processor.pstates
+        for target in targets
+        for co_app in co_apps
+        for count in counts
+    ]
+    dataset = ObservationDataset(processor_name=engine.processor.name)
+    for (target, co_app, count, pstate), stream in zip(
+        scenarios, spawn_streams(rng, len(scenarios))
+    ):
+        run = engine.run(target, [co_app] * count, pstate=pstate, rng=stream)
+        dataset.add(
+            observation_from_profiles(
+                baselines.get(target.name, pstate.frequency_ghz),
+                [baselines.get(co_app.name, pstate.frequency_ghz)] * count,
+                run.target.execution_time_s,
+            )
+        )
+    return dataset
+
+
 def test_table5_collection_warm_cache_speedup(benchmark):
     """A warm SolveCache must make the Table V collection >= 3x faster,
 
     and serve *exactly* the dataset a cache-less engine produces (noise is
-    applied outside the memoized solve).  Runs the serial per-scenario
-    reference path on purpose: this bench guards the cache's speedup,
-    which the batched solver's own cold-path speed would mask.
+    applied outside the memoized solve).  Runs the per-scenario loop on
+    purpose: this bench guards the cache's speedup, which the batched
+    solver's own cold-path speed would mask.
     """
     kwargs = _table5_kwargs()
-    kwargs["batch_solve"] = False
     apps = sorted(set(kwargs["targets"] + kwargs["co_apps"]), key=lambda a: a.name)
     cached_engine = SimulationEngine(XEON_E5649, cache=SolveCache())
     baselines = collect_baselines(cached_engine, apps)
 
+    def collect(engine):
+        return _collect_per_scenario(
+            engine, baselines, np.random.default_rng(2015), **kwargs
+        )
+
     cold_engine = SimulationEngine(XEON_E5649)
     start = time.perf_counter()
-    cold = collect_training_data(cold_engine, baselines=baselines, **kwargs)
+    cold = collect(cold_engine)
     cold_s = time.perf_counter() - start
 
-    collect_training_data(cached_engine, baselines=baselines, **kwargs)  # warm up
+    collect(cached_engine)  # warm up
     start = time.perf_counter()
-    warm = collect_training_data(cached_engine, baselines=baselines, **kwargs)
+    warm = collect(cached_engine)
     warm_s = time.perf_counter() - start
 
     assert [o.actual_time_s for o in warm] == [o.actual_time_s for o in cold]
@@ -127,17 +166,11 @@ def test_table5_collection_warm_cache_speedup(benchmark):
     )
     print(f"\ncold {cold_s * 1e3:.1f} ms, warm {warm_s * 1e3:.1f} ms "
           f"({cold_s / warm_s:.1f}x)\n" + cached_engine.stats.summary())
-    benchmark(
-        lambda: collect_training_data(
-            cached_engine, baselines=baselines, **kwargs
-        )
-    )
+    benchmark(lambda: collect(cached_engine))
 
 
 def test_parallel_collection_matches_serial(benchmark):
     """workers=4 must return the bit-identical dataset, timed as a bench."""
-    import numpy as np
-
     kwargs = _table5_kwargs()
     engine = SimulationEngine(XEON_E5649)
     apps = sorted(set(kwargs["targets"] + kwargs["co_apps"]), key=lambda a: a.name)
@@ -159,31 +192,29 @@ def test_parallel_collection_matches_serial(benchmark):
 
 
 def test_batched_collection_speedup(benchmark, results_dir):
-    """The stacked solver must beat the serial path >= 5x (2x smoke) on a
+    """The stacked solver must beat the per-scenario loop >= 5x (2x smoke)
 
-    full-testbed collection, while producing the bit-identical dataset.
-    Both engines start with fresh (cold) SolveCaches so the comparison
-    measures the solver, not memoization.  Persists the numbers to
-    ``results/BENCH_engine.json``.
+    on a full-testbed collection, while producing the bit-identical
+    dataset.  Both engines start with fresh (cold) SolveCaches so the
+    comparison measures the solver, not memoization.  Persists the numbers
+    to ``results/BENCH_engine.json``.
     """
-    import numpy as np
-
     kwargs = _table5_kwargs()
     apps = sorted(set(kwargs["targets"] + kwargs["co_apps"]), key=lambda a: a.name)
     baselines = collect_baselines(
         SimulationEngine(XEON_E5649, cache=SolveCache()), apps
     )
 
-    def collect(batch_solve):
+    def collect(batched):
         engine = SimulationEngine(XEON_E5649, cache=SolveCache())
+        rng = np.random.default_rng(2015)
         start = time.perf_counter()
-        dataset = collect_training_data(
-            engine,
-            baselines=baselines,
-            rng=np.random.default_rng(2015),
-            batch_solve=batch_solve,
-            **kwargs,
-        )
+        if batched:
+            dataset = collect_training_data(
+                engine, baselines=baselines, rng=rng, **kwargs
+            )
+        else:
+            dataset = _collect_per_scenario(engine, baselines, rng, **kwargs)
         return engine, dataset, time.perf_counter() - start
 
     _, serial_ds, serial_s = collect(False)

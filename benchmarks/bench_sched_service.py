@@ -36,7 +36,7 @@ from repro.sched.service import (
     SchedulerClient,
     SchedulerThread,
 )
-from repro.serve.registry import ModelRegistry
+from repro.registry import ModelRegistry
 from repro.serve.server import ServerThread
 from repro.workloads.suite import all_applications
 

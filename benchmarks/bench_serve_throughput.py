@@ -29,7 +29,7 @@ from repro.core.ensemble import EnsemblePredictor
 from repro.core.feature_sets import FeatureSet
 from repro.core.methodology import ModelKind
 from repro.serve.client import PredictionClient
-from repro.serve.registry import ModelRegistry
+from repro.registry import ModelRegistry
 from repro.serve.router import ServingTier, parse_shadow
 from repro.serve.server import ServerThread
 

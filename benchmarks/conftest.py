@@ -33,7 +33,6 @@ def ctx() -> ExperimentContext:
         seed=2015,
         repetitions=repetitions,
         workers=min(workers, 8),
-        batched_restarts=True,
     )
 
 

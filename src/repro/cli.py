@@ -200,7 +200,6 @@ def _cmd_collect(args) -> int:
             engine,
             rng=np.random.default_rng(args.seed),
             workers=args.workers,
-            batch_solve=not args.no_batch_solve,
             **kwargs,
         )
     except ValueError as exc:
@@ -277,7 +276,6 @@ def _cmd_evaluate(args) -> int:
         repetitions=args.repetitions,
         seed=args.seed,
         workers=args.workers,
-        batched_restarts=args.batched_restarts,
         stats=fit_stats,
     )
     rows = [
@@ -897,13 +895,7 @@ def _cmd_suite_run(args) -> int:
 
     _check_workers(args)
     suite, store = _open_suite(args)
-    runner = SuiteRunner(
-        suite,
-        store,
-        workers=args.workers,
-        force=args.force,
-        batch_solve=not args.no_batch,
-    )
+    runner = SuiteRunner(suite, store, workers=args.workers, force=args.force)
     report = runner.run()
     print(report.summary())
     if args.stats:
@@ -1166,10 +1158,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "count yields the identical dataset)")
     p.add_argument("--no-cache", action="store_true",
                    help="disable steady-state solve memoization")
-    p.add_argument("--no-batch-solve", action="store_true",
-                   help="use the serial per-scenario reference path instead "
-                        "of the batched steady-state solver (bit-identical, "
-                        "just slower)")
     p.add_argument("--stats", action="store_true",
                    help="print engine solve/cache statistics after collection")
     p.add_argument("--trace", metavar="PATH",
@@ -1211,10 +1199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1,
                    help="processes for the validation sweeps; "
                         "any count yields identical results")
-    p.add_argument("--batched-restarts", dest="batched_restarts",
-                   action="store_true",
-                   help="stacked multi-restart SCG fast path for neural fits "
-                        "(bit-identical to the serial restart loop)")
     p.add_argument("--stats", action="store_true",
                    help="print fit statistics after the grid")
     p.add_argument("--trace", metavar="PATH",
@@ -1425,9 +1409,6 @@ def build_parser() -> argparse.ArgumentParser:
     sr.add_argument("--force", action="store_true",
                     help="re-execute every node even when the store "
                          "resolves it")
-    sr.add_argument("--no-batch", dest="no_batch", action="store_true",
-                    help="disable the batched steady-state solver "
-                         "(bit-identical, just slower)")
     sr.add_argument("--stats", action="store_true",
                     help="print suite run counters afterwards")
     sr.add_argument("--trace", metavar="PATH",

@@ -11,7 +11,7 @@ confidence intervals, and the reproduction's benches check the same.
 
 Repetitions (and leave-one-group-out folds) are independent, so both
 protocols accept ``workers=N`` to fan fits across a process pool — the
-fitting counterpart of the collection layer's ``map_scenarios``.  The same
+fitting counterpart of the collection layer's ``map_scenario_batches``.  The same
 two rules keep ``workers=N`` bit-identical to ``workers=1``:
 
 * **Stable split stream.**  Every split permutation is drawn up front from

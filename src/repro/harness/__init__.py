@@ -15,7 +15,7 @@ from .manifest import (
     read_manifest,
     write_manifest,
 )
-from .parallel import map_scenarios, spawn_streams
+from .parallel import map_scenario_batches, spawn_streams
 from .experiments import (
     ExperimentContext,
     default_context,
@@ -45,7 +45,7 @@ __all__ = [
     "figure5b_errors",
     "figure_series",
     "manifest_path_for",
-    "map_scenarios",
+    "map_scenario_batches",
     "read_manifest",
     "setup_for",
     "spawn_streams",

@@ -12,9 +12,6 @@ Layout:
   push);
 * :mod:`repro.registry.client` — :class:`HttpBackend`, the remote
   backend with a local content-addressed cache and outage fallback.
-
-``repro.serve.registry`` remains as a compatibility shim re-exporting
-the local store's names.
 """
 
 from .backend import RegistryBackend

@@ -16,6 +16,12 @@ made.  The scheduler optionally migrates the worst-regret running job
 (threshold-triggered) and runs the :mod:`repro.sched.governor` DVFS
 policy on every placement.
 
+Failure semantics: if the prediction tier fails a round's batched
+predict, the round's jobs go back to the front of the queue, the failure
+is counted as ``repro_sched_failures_total{reason="predict"}``, and the
+loop retries after a fixed :data:`PREDICT_RETRY_S` delay.  Accepted jobs
+are never stranded; a drain still completes or requeues every one.
+
 Reuses the serving plumbing end to end: :class:`HttpServerBase` drain
 protocol, ``/metrics`` (merged obs registry), ``X-Request-Id``, tracing.
 
@@ -71,6 +77,11 @@ POLICIES = ("model", "first-fit", "least-loaded")
 #: Degradation histograms cover slowdowns (>= 1.0 in the common case).
 DEGRADATION_BUCKETS = (1.0, 1.05, 1.1, 1.25, 1.5, 2.0, 3.0, 5.0)
 
+#: Seconds the loop waits before re-running a round whose queued jobs it
+#: could not place (a failed predict), instead of waiting for the next
+#: submission.
+PREDICT_RETRY_S = 0.05
+
 _ALL_FEATURES = tuple(Feature)
 
 
@@ -103,6 +114,9 @@ class SchedMetrics:
         self.requeued = 0
         self.predict_batches = 0
         self.predict_rows = 0
+        #: Batched predicts the scorer failed (exported with
+        #: ``reason="predict"`` on ``repro_sched_failures_total``).
+        self.predict_failures = 0
         #: Wall latency of one scheduling round (includes the batched
         #: predict round-trip when the model policy is active).
         self.decision_latency = LatencyHistogram()
@@ -157,6 +171,15 @@ class SchedMetrics:
             lines.append(f"# HELP {full} {help_text}")
             lines.append(f"# TYPE {full} counter")
             lines.append(f"{full} {value}")
+        lines.append(
+            "# HELP repro_sched_failures_total Failed scheduler operations "
+            "by reason."
+        )
+        lines.append("# TYPE repro_sched_failures_total counter")
+        lines.append(
+            f'repro_sched_failures_total{{reason="predict"}} '
+            f"{self.predict_failures}"
+        )
         lines.append(
             "# HELP repro_sched_regret Mean realized-minus-predicted "
             "slowdown over completed jobs."
@@ -498,6 +521,10 @@ class SchedulerService(HttpServerBase):
                 await asyncio.sleep(self.pace_s)
             elif progressed:
                 await asyncio.sleep(0)  # stay cooperative with handlers
+            elif self.queue.pending:
+                # Jobs are queued but the round placed none (the predict
+                # failed): retry soon rather than on the next submission.
+                await asyncio.sleep(PREDICT_RETRY_S)
             else:
                 await self._wake.wait()
 
@@ -529,6 +556,24 @@ class SchedulerService(HttpServerBase):
 
     # ---------------------------------------------------------- placement
 
+    async def _predict(self, rows: list[dict]) -> list[float] | None:
+        """One batched predict; ``None`` (and a counted failure) if the
+        scorer raises, so a tier outage never kills the loop."""
+        # The sched.predict span stays open across the to_thread hop:
+        # contextvars travel with it, so the blocking client inside
+        # propagates this span's context to the prediction tier and the
+        # tier's request spans join the scheduler's trace.
+        with get_tracer().span("sched.predict", rows=len(rows)) as span:
+            try:
+                preds = await asyncio.to_thread(self.scorer.predict_rows, rows)
+            except Exception as exc:  # noqa: BLE001 - any tier failure
+                span.set(error=f"{type(exc).__name__}: {exc}")
+                self.sched_metrics.predict_failures += 1
+                return None
+        self.sched_metrics.predict_batches += 1
+        self.sched_metrics.predict_rows += len(rows)
+        return preds
+
     async def _place_round(self, jobs: list[Job]) -> int:
         """Score and commit one round; unplaceable jobs rejoin the queue."""
         t0 = time.perf_counter()
@@ -545,16 +590,10 @@ class SchedulerService(HttpServerBase):
                 for job in jobs
                 for n in cand
             ]
-            # The sched.predict span stays open across the to_thread hop:
-            # contextvars travel with it, so the blocking client inside
-            # propagates this span's context to the prediction tier and
-            # the tier's request spans join the scheduler's trace.
-            with get_tracer().span("sched.predict", rows=len(rows)):
-                preds = await asyncio.to_thread(
-                    self.scorer.predict_rows, rows
-                )
-            self.sched_metrics.predict_batches += 1
-            self.sched_metrics.predict_rows += len(rows)
+            preds = await self._predict(rows)
+            if preds is None:
+                self.queue.put_back(jobs)
+                return 0
             times = np.asarray(preds, dtype=float).reshape(len(jobs), cand.size)
             bases = np.array(
                 [
@@ -705,10 +744,9 @@ class SchedulerService(HttpServerBase):
             return False
         span.set(job_id=worst.job_id, regret=worst_regret)
         rows = [self._feature_dict(worst.app, int(n)) for n in cand]
-        with get_tracer().span("sched.predict", rows=len(rows)):
-            preds = await asyncio.to_thread(self.scorer.predict_rows, rows)
-        self.sched_metrics.predict_batches += 1
-        self.sched_metrics.predict_rows += len(rows)
+        preds = await self._predict(rows)
+        if preds is None:
+            return False
         slowdowns = [
             float(p) / self._base_time(int(n), worst.app)
             for p, n in zip(preds, cand)

@@ -1,81 +1,52 @@
-"""Batched collection: datasets identical for any batching/worker setting."""
+"""Batched collection: datasets pinned to the serial reference's output.
+
+The expected digests in ``tests/golden.json`` were captured from the
+per-scenario serial collection path (and checked against the stacked
+solver) before that path was removed; see ``tests/golden.py``.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.harness.baselines import collect_baselines
-from repro.harness.collection import (
-    collect_random_training_data,
-    collect_training_data,
-)
+from repro.harness.collection import collect_training_data
 from repro.harness.parallel import map_scenario_batches
 from repro.machine import XEON_E5649
 from repro.sim import SimulationEngine, SolveCache
 from repro.workloads import get_application
+from tests import golden
 
-TARGETS = ("canneal", "sp", "ep")
-CO_APPS = ("cg", "ep")
+TARGETS = golden.TARGETS
+CO_APPS = golden.CO_APPS
 
 
-def _collect(batch_solve: bool, workers: int = 1):
-    engine = SimulationEngine(XEON_E5649, cache=SolveCache())
-    dataset = collect_training_data(
-        engine,
-        targets=[get_application(n) for n in TARGETS],
-        co_apps=[get_application(n) for n in CO_APPS],
-        counts=(1, 3),
-        rng=np.random.default_rng(11),
-        workers=workers,
-        batch_solve=batch_solve,
-    )
-    return engine, [o.actual_time_s for o in dataset.observations]
+def _times(dataset):
+    return [o.actual_time_s for o in dataset.observations]
 
 
 def test_batched_collection_bit_identical_to_serial():
-    _, serial = _collect(batch_solve=False)
-    engine, batched = _collect(batch_solve=True)
-    assert serial == batched
+    engine, dataset = golden.reduced_collection()
+    assert (
+        golden.sha256(dataset.to_csv_string())
+        == golden.load()["reduced_collection"]
+    )
     assert engine.stats.batches > 0
-    assert engine.stats.batched_scenarios >= len(batched)
+    assert engine.stats.batched_scenarios >= len(dataset)
 
 
 def test_batched_collection_bit_identical_across_workers():
-    _, one = _collect(batch_solve=True, workers=1)
-    _, four = _collect(batch_solve=True, workers=4)
-    assert one == four
+    _, one = golden.reduced_collection(workers=1)
+    _, four = golden.reduced_collection(workers=4)
+    assert _times(one) == _times(four)
 
 
 def test_random_collection_bit_identical_batched_vs_serial():
-    def rnd(batch_solve):
-        engine = SimulationEngine(XEON_E5649, cache=SolveCache())
-        dataset = collect_random_training_data(
-            engine,
-            30,
-            targets=[get_application(n) for n in TARGETS],
-            co_apps=[get_application(n) for n in CO_APPS],
-            rng=np.random.default_rng(7),
-            batch_solve=batch_solve,
-        )
-        return [o.actual_time_s for o in dataset.observations]
-
-    assert rnd(False) == rnd(True)
+    assert golden.random_collection_digest() == golden.load()["random_collection"]
 
 
 def test_baselines_bit_identical_batched_vs_serial():
-    apps = [get_application(n) for n in ("cg", "canneal", "ep")]
-    serial = collect_baselines(
-        SimulationEngine(XEON_E5649), apps, batch_solve=False
-    )
-    batched = collect_baselines(
-        SimulationEngine(XEON_E5649), apps, batch_solve=True
-    )
-    assert serial.profiles.keys() == batched.profiles.keys()
-    for key, profile in serial.profiles.items():
-        other = batched.profiles[key]
-        assert profile.wall_time_s == other.wall_time_s
-        assert profile.counts == other.counts
+    assert golden.baselines_digest() == golden.load()["baselines"]
 
 
 def test_warm_cache_collection_does_zero_solves():

@@ -20,7 +20,7 @@ from repro.core.feature_sets import FeatureSet
 from repro.core.methodology import ModelKind, PerformancePredictor
 from repro.obs.trace import NullTracer, disable, enable, get_tracer
 from repro.serve.client import PredictionClient, parse_prometheus
-from repro.serve.registry import ModelRegistry
+from repro.registry import ModelRegistry
 from repro.serve.server import ServerThread
 
 
@@ -52,7 +52,7 @@ def test_evaluate_trace_records_fit_and_validation_spans(
     names = {e["name"] for e in payload["traceEvents"] if e.get("ph") == "X"}
     assert "validation.subsampling" in names
     assert "fit.neural" in names
-    assert "fit.scg_restart" in names or "fit.scg_batched" in names
+    assert "fit.scg_restart" in names
 
 
 def test_scrape_after_traffic_exposes_all_three_sources(

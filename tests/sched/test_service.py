@@ -267,6 +267,45 @@ class TestMigration:
                 assert sum(moved) == body["migrations"]
 
 
+class _FlakyScorer(LocalScorer):
+    """A local scorer whose first batched predict fails (tier outage)."""
+
+    def __init__(self, predictor):
+        super().__init__(predictor)
+        self.calls = 0
+
+    def predict_rows(self, rows):
+        self.calls += 1
+        if self.calls == 1:
+            raise ConnectionError("prediction tier unavailable")
+        return super().predict_rows(rows)
+
+
+class TestPredictFailure:
+    def test_failed_round_is_requeued_and_retried(
+        self, sched_predictor, baselines_6core
+    ):
+        """A predict failure puts the round back and the loop retries it:
+        every job completes without another submission, the failure is
+        counted, and the drain returns normally."""
+        handle = SchedulerThread(
+            _fleet(), baselines_6core, scorer=_FlakyScorer(sched_predictor)
+        )
+        handle.start()
+        try:
+            with SchedulerClient("127.0.0.1", handle.port) as client:
+                ids = client.submit(["cg", "ep", "sp"])["ids"]
+                assert _wait_until(
+                    lambda: client.jobs()["counts"]["completed"] == len(ids)
+                )
+                metrics = client.metrics()
+        finally:
+            handle.stop()  # re-raises if the drain failed
+        assert metrics['repro_sched_failures_total{reason="predict"}'] == 1.0
+        assert metrics["repro_sched_queue_depth"] == 0.0
+        assert handle.server.scorer.calls >= 2
+
+
 class TestDrain:
     def test_drain_completes_or_requeues_everything(
         self, scorer, baselines_6core

@@ -388,21 +388,6 @@ class TestObsCommands:
         # Collection drives the batched solver by default.
         assert "collect.dataset" in names and "engine.solve_batch" in names
 
-    def test_no_batch_solve_uses_serial_reference_path(self, tmp_path, capsys):
-        trace_path = tmp_path / "serial.json"
-        assert main([
-            "collect", "--machine", "e5649",
-            "--targets", "ep", "--co-apps", "ep", "--counts", "1",
-            "-o", str(tmp_path / "ds.csv"),
-            "--no-batch-solve",
-            "--trace", str(trace_path),
-        ]) == 0
-        capsys.readouterr()
-        payload = json.loads(trace_path.read_text())
-        names = {e["name"] for e in payload["traceEvents"] if e.get("ph") == "X"}
-        assert "engine.solve" in names
-        assert "engine.solve_batch" not in names
-
 
 class TestRegistryLifecycleCLI:
     """The registry lifecycle commands: gc, tombstone, pull, remote backends."""
