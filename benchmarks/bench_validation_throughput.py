@@ -195,16 +195,16 @@ def test_loss_workspace_allocation(ctx, results_dir):
     t = (y - model._y_mean) / model._y_scale
     params = model._params
 
-    work: dict = {}
-    model._loss_and_grad(params, Z, t, work)  # warm the buffers
+    loss_and_grad = model._kernel(Z, t)
+    loss_and_grad(params)  # warm the buffers
 
     tracemalloc.start()
-    model._loss_and_grad(params, Z, t, None)  # cold: allocates workspace
+    model._kernel(Z, t)(params)  # cold: allocates the kernel's buffers
     _, cold_peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
 
     tracemalloc.start()
-    model._loss_and_grad(params, Z, t, work)  # warm: reuses buffers
+    loss_and_grad(params)  # warm: reuses buffers
     _, warm_peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
 

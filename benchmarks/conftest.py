@@ -7,11 +7,10 @@ matching Section IV-B4) and writes each one under ``benchmarks/results/``.
 Set ``REPRO_REPETITIONS`` to trade fidelity for speed (e.g. 10 for a quick
 pass); the qualitative shapes are stable well below 100.
 
-The model evaluations run on the fast-fit path: validation sweeps fan out
-across ``REPRO_WORKERS`` processes (default: the machine's core count,
-capped at 8) and neural fits use batched restarts.  Both paths are
-bit-identical to their serial counterparts, so the reported figures are
-unchanged by either knob.
+The model evaluations fan out across ``REPRO_WORKERS`` processes
+(default: the machine's core count, capped at 8), one pool per 12-model
+grid.  The pooled grid is bit-identical to a serial one, so the reported
+figures do not depend on the knob.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from .features import CoLocationObservation, feature_matrix, feature_row
 from .fitstats import FitStats
 from .linear import LinearModel
 from .neural import NeuralNetworkModel, default_hidden_units
-from .validation import RegressionModel, ValidationResult, repeated_random_subsampling
+from .validation import RegressionModel, ValidationResult, score_plans, subsampling_plan
 
 __all__ = [
     "ModelKind",
@@ -106,28 +106,31 @@ def evaluate_models(
     twelve by default, matching Section V-A.  Each pair gets an
     independent, deterministic RNG stream (split permutations plus one
     spawned fit stream per repetition), so results do not depend on
-    evaluation order or on ``workers`` — ``workers=N`` fans the
-    repetitions across a process pool with bit-identical output.
-    ``stats`` (optional, shared) accumulates every fit's
+    evaluation order or on ``workers``.  Every pair's sweep goes to one
+    :func:`~repro.core.validation.score_plans` call: ``workers=N`` fans
+    the whole grid's fits across one process pool, with bit-identical
+    output.  ``stats`` (optional, shared) accumulates every fit's
     :class:`~repro.core.fitstats.FitStats`.
     """
-    evaluations = []
-    for kind in kinds:
-        for fs in feature_sets:
-            X, y = feature_matrix(observations, fs.features)
-            rng = np.random.default_rng([seed, ord(kind.value[0]), ord(fs.value)])
-            result = repeated_random_subsampling(
+    pairs = [(kind, fs) for kind in kinds for fs in feature_sets]
+    plans = []
+    for kind, fs in pairs:
+        X, y = feature_matrix(observations, fs.features)
+        plans.append(
+            subsampling_plan(
                 partial(make_model, kind, fs),
                 X,
                 y,
                 test_fraction=test_fraction,
                 repetitions=repetitions,
-                rng=rng,
-                workers=workers,
-                stats=stats,
+                rng=np.random.default_rng([seed, ord(kind.value[0]), ord(fs.value)]),
             )
-            evaluations.append(ModelEvaluation(kind=kind, feature_set=fs, result=result))
-    return evaluations
+        )
+    results = score_plans(plans, workers, stats=stats)
+    return [
+        ModelEvaluation(kind=kind, feature_set=fs, result=result)
+        for (kind, fs), result in zip(pairs, results)
+    ]
 
 
 class PerformancePredictor:

@@ -10,9 +10,11 @@ Inputs and the target are standardized internally; predictions are returned
 in original units.  The network captures the nonlinear cache/bandwidth
 contention effects the linear models cannot (Section V-D).
 
-Training cost dominates the validation benches, so each fit's restart
-loop reuses one preallocated workspace across all gradient evaluations
-(no per-iteration ``(n, h)`` allocations).
+Training cost dominates the validation benches, so each fit builds one
+loss/gradient kernel (:meth:`NeuralNetworkModel._kernel`) whose buffers
+every restart's gradient evaluations reuse: no per-evaluation ``(n, h)``
+allocations, and the activations laid out ``(h, n)`` so each
+elementwise pass runs along contiguous rows.
 
 Every fit leaves a :class:`~repro.core.fitstats.FitStats` record in
 ``fit_stats_`` and accumulates it into the instance-level ``stats``.
@@ -21,6 +23,7 @@ Every fit leaves a :class:`~repro.core.fitstats.FitStats` record in
 from __future__ import annotations
 
 import time
+from typing import Callable
 
 import numpy as np
 
@@ -108,62 +111,61 @@ class NeuralNetworkModel:
         b2 = float(params[i])
         return W1, b1, W2, b2
 
-    def _loss_and_grad(
-        self,
-        params: np.ndarray,
-        Z: np.ndarray,
-        t: np.ndarray,
-        work: dict | None = None,
-    ) -> tuple[float, np.ndarray]:
-        """Loss and gradient at ``params``.
+    def _kernel(
+        self, Z: np.ndarray, t: np.ndarray
+    ) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
+        """The loss/gradient function of one fit's standardized data.
 
-        ``work`` is an optional per-fit scratch dict: the ``(n, h)``
-        activation/backprop buffers are reused across calls, so the hot
-        restart loop allocates only the returned gradient vector (which
-        must stay fresh — the SCG caller holds several gradients at once).
+        Built once per fit: it holds ``Z`` transposed with a row of ones
+        appended and the activation buffers, so the SCG loop allocates
+        only the returned gradient vector (which must stay fresh — the
+        SCG caller holds several gradients at once).
+
+        The activations are kept transposed, ``(h, n)``, so every pass
+        over them runs along contiguous rows.  The parameter vector stores
+        ``W1`` then ``b1`` (and ``W2`` then ``b2``) back to back, so each
+        layer's weights and bias are one matrix applied to the input with
+        a ones row appended: the biases ride inside the matmuls and their
+        gradients fall out of the same products.  The backward pass
+        scales the small ``(d + 1, n)`` input by the error instead of the
+        ``(h, n)`` activations, and applies ``W2`` to the ``(d + 1, h)``
+        product rather than to every activation.
         """
         n = Z.shape[0]
         d, h = self._shapes  # type: ignore[misc]
-        W1, b1, W2, b2 = self._unpack(params)
-        if work is None:
-            work = {}
-        H = work.get("H")
-        if H is None or H.shape != (n, h):
-            H = work["H"] = np.empty((n, h))
-            work["D"] = np.empty((n, h))
-            work["out"] = np.empty(n)
-        D = work["D"]
-        out = work["out"]
+        first = (d + 1) * h  # W1 and b1
+        ZaT = np.empty((d + 1, n))
+        ZaT[:d] = Z.T
+        ZaT[d] = 1.0
+        Ha = np.empty((h + 1, n))  # tanh activations with a ones row
+        Ha[h] = 1.0
+        H = Ha[:h]
+        E = np.empty((d + 1, n))
+        err = np.empty(n)
+        # L2 on weights, not biases: 0.5 * params @ (decay * params).
+        decay = np.zeros(first + h + 1)
+        decay[: d * h] = self.l2
+        decay[first : first + h] = self.l2
 
-        # The accumulation forms (column matmuls, einsum reductions) are the
-        # numerics the golden test pins; keep them as they are.
-        np.matmul(Z, W1, out=H)
-        H += b1
-        np.tanh(H, out=H)                     # (n, h) activations
-        np.matmul(H, W2[:, None], out=out[:, None])
-        out += b2
-        err = out
-        err -= t
-        loss = 0.5 * float(np.einsum("n,n->", err, err)) / n + 0.5 * self.l2 * (
-            float(np.einsum("dh,dh->", W1, W1)) + float(np.einsum("h,h->", W2, W2))
-        )
-        # Backpropagation, assembled directly into the gradient vector.
-        err /= n                               # d_out, in place
-        grad = np.empty(params.size)
-        gW1 = grad[: d * h].reshape(d, h)
-        gb1 = grad[d * h : d * h + h]
-        gW2 = grad[d * h + h : d * h + 2 * h]
-        np.matmul(H.T, err[:, None], out=gW2[:, None])
-        gW2 += self.l2 * W2
-        grad[-1] = err.sum()                   # gb2
-        np.multiply(H, H, out=D)
-        np.subtract(1.0, D, out=D)
-        D *= W2
-        D *= err[:, None]                      # dH, (n, h)
-        np.matmul(Z.T, D, out=gW1)
-        gW1 += self.l2 * W1
-        D.sum(axis=0, out=gb1)
-        return loss, grad
+        def loss_and_grad(params: np.ndarray) -> tuple[float, np.ndarray]:
+            np.matmul(params[:first].reshape(d + 1, h).T, ZaT, out=H)
+            np.tanh(H, out=H)
+            np.matmul(params[first:], Ha, out=err)
+            np.subtract(err, t, out=err)
+            grad = decay * params
+            loss = 0.5 * float(err @ err) / n + 0.5 * float(params @ grad)
+            np.divide(err, n, out=err)  # d loss / d output
+            grad[first:] += Ha @ err  # W2 and b2
+            # H is spent: overwrite it with tanh' = 1 - H^2.
+            np.multiply(H, H, out=H)
+            np.subtract(1.0, H, out=H)
+            np.multiply(ZaT, err, out=E)
+            G = E @ H.T  # (d + 1, h)
+            G *= params[first : first + h]
+            grad[:first] += G.ravel()  # W1 and b1
+            return loss, grad
+
+        return loss_and_grad
 
     def _draw_initializations(
         self, rng: np.random.Generator, d: int, h: int
@@ -244,8 +246,7 @@ class NeuralNetworkModel:
             hidden=h,
             restarts=self.n_restarts,
         ) as fit_span:
-            work: dict = {}
-            objective = lambda p: self._loss_and_grad(p, Z, t, work)  # noqa: E731
+            objective = self._kernel(Z, t)
             results = []
             for restart, w0 in enumerate(W0):
                 with tracer.span("fit.scg_restart", restart=restart) as span:

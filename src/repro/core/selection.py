@@ -17,7 +17,7 @@ import numpy as np
 
 from .feature_sets import FeatureSet
 from .features import CoLocationObservation, Feature, feature_matrix
-from .validation import RegressionModel, repeated_random_subsampling
+from .validation import RegressionModel, score_plans, subsampling_plan
 
 __all__ = ["SelectionStep", "forward_selection", "rank_feature_sets"]
 
@@ -50,8 +50,9 @@ def forward_selection(
         Fresh-model factory (same protocol as the validator).  The model
         is refit many times — ``O(max_features * |candidates| *
         repetitions)`` fits — but ``workers=N`` amortizes the cost by
-        fanning each candidate's repetitions across a process pool, which
-        makes even neural selection at full repetitions practical.
+        fanning each round's fits (every candidate's repetitions) across
+        one process pool, which makes even neural selection at full
+        repetitions practical.
     observations:
         The dataset searched over.
     candidates:
@@ -65,8 +66,8 @@ def forward_selection(
         Split randomness; each candidate evaluation gets a child stream so
         scores are comparable within a round.
     workers:
-        Process-pool width for each candidate's validation sweep; scores
-        are bit-identical to ``workers=1`` (picklable factories only).
+        Process-pool width for each round's validation sweeps; scores are
+        bit-identical to ``workers=1`` (picklable factories only).
 
     Returns
     -------
@@ -91,21 +92,18 @@ def forward_selection(
     selected: list[Feature] = []
     steps: list[SelectionStep] = []
     for _round in range(max_features):
-        scores = []
         seeds = rng.integers(0, 2**31, size=len(remaining))
-        for candidate, seed in zip(remaining, seeds):
-            trial = tuple(selected) + (candidate,)
-            X, y = feature_matrix(observations, trial)
-            result = repeated_random_subsampling(
+        plans = [
+            subsampling_plan(
                 make_model,
-                X,
-                y,
+                *feature_matrix(observations, tuple(selected) + (candidate,)),
                 test_fraction=test_fraction,
                 repetitions=repetitions,
                 rng=np.random.default_rng(int(seed)),
-                workers=workers,
             )
-            scores.append(result.mean_test_mpe)
+            for candidate, seed in zip(remaining, seeds)
+        ]
+        scores = [result.mean_test_mpe for result in score_plans(plans, workers)]
         best_idx = int(np.argmin(scores))
         best = remaining.pop(best_idx)
         selected.append(best)
@@ -136,8 +134,8 @@ def rank_feature_sets(
     repeated random sub-sampling and sort ascending by mean test MPE.
     Each set gets a child seed drawn from ``rng`` in ``feature_sets``
     order, so the ranking is deterministic and ``workers`` only changes
-    wall time (one validation sweep per set fans its repetitions across
-    the pool, same contract as the validator).
+    wall time (every set's sweep fans across one process pool, same
+    contract as the validator).
 
     Returns ``(feature_set, mean_test_mpe)`` pairs, best first; ties keep
     ``feature_sets`` order (`sorted` is stable).
@@ -150,17 +148,18 @@ def rank_feature_sets(
         rng = np.random.default_rng(0)
 
     seeds = rng.integers(0, 2**31, size=len(feature_sets))
-    scored = []
-    for fs, seed in zip(feature_sets, seeds):
-        X, y = feature_matrix(observations, fs.features)
-        result = repeated_random_subsampling(
+    plans = [
+        subsampling_plan(
             make_model,
-            X,
-            y,
+            *feature_matrix(observations, fs.features),
             test_fraction=test_fraction,
             repetitions=repetitions,
             rng=np.random.default_rng(int(seed)),
-            workers=workers,
         )
-        scored.append((fs, result.mean_test_mpe))
+        for fs, seed in zip(feature_sets, seeds)
+    ]
+    scored = [
+        (fs, result.mean_test_mpe)
+        for fs, result in zip(feature_sets, score_plans(plans, workers))
+    ]
     return sorted(scored, key=lambda pair: pair[1])

@@ -9,10 +9,15 @@ The per-partition spread is also reported — the paper notes each model's
 partition errors varied by "at most a quarter of a percent", i.e. tight
 confidence intervals, and the reproduction's benches check the same.
 
-Repetitions (and leave-one-group-out folds) are independent, so both
-protocols accept ``workers=N`` to fan fits across a process pool — the
-fitting counterpart of the collection layer's ``map_scenario_batches``.  The same
-two rules keep ``workers=N`` bit-identical to ``workers=1``:
+Both protocols run in two steps.  First the splits and per-repetition
+fit streams are drawn into a :class:`FitPlan`; then :func:`score_plans`
+fits and scores every (plan, repetition) task.  A caller with many plans
+(the 12-model grid, a feature-set ranking, one forward-selection round)
+hands them all to one :func:`score_plans` call, so ``workers=N`` starts
+one process pool for the whole grid and dispatches its tasks singly,
+widest ``X`` first: the costliest fits start early and the cheap ones
+fill the tail.  Two rules keep ``workers=N`` bit-identical to
+``workers=1``:
 
 * **Stable split stream.**  Every split permutation is drawn up front from
   the caller's ``rng`` in repetition order, exactly as the serial loop
@@ -25,8 +30,8 @@ two rules keep ``workers=N`` bit-identical to ``workers=1``:
   how many fits preceded it.  Factories without an ``rng`` parameter are
   called with no arguments, as before.
 
-Each protocol aggregates a :class:`~repro.core.fitstats.FitStats` record
-across repetitions (merged in repetition order, so every count is
+Each plan aggregates a :class:`~repro.core.fitstats.FitStats` record
+across its repetitions (merged in repetition order, so every count is
 worker-independent; wall time sums per-process fit time).
 """
 
@@ -45,11 +50,14 @@ from .fitstats import GLOBAL_FIT_STATS, FitStats
 from .metrics import mpe, nrmse
 
 __all__ = [
+    "FitPlan",
     "GroupValidationResult",
     "RegressionModel",
     "ValidationResult",
     "leave_one_group_out",
     "repeated_random_subsampling",
+    "score_plans",
+    "subsampling_plan",
 ]
 
 
@@ -91,18 +99,36 @@ def _spawn_streams(
         return [np.random.default_rng(child) for child in root.spawn(count)]
 
 
+@dataclass(frozen=True)
+class FitPlan:
+    """One validation sweep, drawn but not yet run.
+
+    ``splits`` holds one ``(train_idx, test_idx)`` pair per repetition and
+    ``fit_rngs`` the matching fit stream (``None`` for factories without
+    an ``rng`` parameter).  :func:`score_plans` runs plans.
+    """
+
+    make_model: Callable
+    X: np.ndarray
+    y: np.ndarray
+    splits: list
+    fit_rngs: list
+
+    @property
+    def repetitions(self) -> int:
+        """Number of (train, test) splits in the sweep."""
+        return len(self.splits)
+
+
 def _fit_and_score(
-    make_model: Callable,
-    X: np.ndarray,
-    y: np.ndarray,
-    train_idx: np.ndarray,
-    test_idx: np.ndarray,
-    fit_rng: np.random.Generator | None,
-    stats: FitStats,
+    plan: FitPlan, repetition: int, stats: FitStats
 ) -> tuple[float, float, float, float]:
-    """Train one fresh model on a split and score both partitions."""
+    """Train one fresh model on a plan's split and score both partitions."""
+    X, y = plan.X, plan.y
+    train_idx, test_idx = plan.splits[repetition]
+    fit_rng = plan.fit_rngs[repetition]
     started = time.perf_counter()
-    model = make_model(rng=fit_rng) if fit_rng is not None else make_model()
+    model = plan.make_model(rng=fit_rng) if fit_rng is not None else plan.make_model()
     model.fit(X[train_idx], y[train_idx])
     elapsed = time.perf_counter() - started
     fit_stats = getattr(model, "fit_stats_", None)
@@ -124,80 +150,89 @@ def _fit_and_score(
     )
 
 
-# Worker-process state for the validation pool: the dataset and factory are
-# shipped once per worker via the pool initializer, not per task.
-_FIT_POOL: tuple | None = None
+# Worker-process state: every plan of the call, installed once per worker
+# by the pool initializer, so tasks carry only (plan, repetition) indices.
+_POOL_PLANS: tuple = ()
 
 
-def _init_fit_pool(make_model: Callable, X: np.ndarray, y: np.ndarray) -> None:
-    global _FIT_POOL
-    _FIT_POOL = (make_model, X, y)
+def _init_pool(plans: tuple) -> None:
+    global _POOL_PLANS
+    _POOL_PLANS = plans
 
 
-def _run_fit_chunk(chunk):
-    pool_state = _FIT_POOL
-    assert pool_state is not None, "fit pool used before initialization"
-    make_model, X, y = pool_state
+def _score_task(task: tuple[int, int]):
+    plan, repetition = task
     stats = FitStats()
-    results = [
-        (index, _fit_and_score(make_model, X, y, train_idx, test_idx, fit_rng, stats))
-        for index, train_idx, test_idx, fit_rng in chunk
-    ]
-    return results, stats
+    return _fit_and_score(_POOL_PLANS[plan], repetition, stats), stats
 
 
-def _map_splits(
-    make_model: Callable,
-    X: np.ndarray,
-    y: np.ndarray,
-    splits: list,
-    fit_rngs: list,
-    stats: FitStats,
-    workers: int,
-    *,
-    chunks_per_worker: int = 4,
-) -> list[tuple[float, float, float, float]]:
-    """Score every ``(train_idx, test_idx)`` split, in order.
-
-    ``workers=1`` runs inline; otherwise splits are chunked across a
-    process pool, results are reassembled in split order, and each chunk's
-    :class:`FitStats` is merged back in chunk order — both of which keep
-    the parallel path's outputs and counters identical to serial.
-    """
-    tasks = [
-        (index, train_idx, test_idx, fit_rngs[index])
-        for index, (train_idx, test_idx) in enumerate(splits)
-    ]
-    tracer = get_tracer()
+def _score(plans: list[FitPlan], workers: int) -> list[ValidationResult]:
+    """Fit and score every (plan, repetition) task; one pool for all."""
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    tasks = [(p, r) for p, plan in enumerate(plans) for r in range(plan.repetitions)]
+    scored: dict = {}
     if workers == 1 or len(tasks) <= 1:
-        rows = []
-        for index, train_idx, test_idx, fit_rng in tasks:
-            with tracer.span("validation.repetition", repetition=index):
-                rows.append(
-                    _fit_and_score(
-                        make_model, X, y, train_idx, test_idx, fit_rng, stats
-                    )
-                )
-        return rows
-    n_chunks = min(len(tasks), workers * chunks_per_worker)
-    chunk_size = -(-len(tasks) // n_chunks)
-    chunks = [
-        tasks[start : start + chunk_size]
-        for start in range(0, len(tasks), chunk_size)
-    ]
-    results: list = [None] * len(tasks)
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_init_fit_pool,
-        initargs=(make_model, X, y),
-    ) as pool:
-        for chunk_results, chunk_stats in pool.map(_run_fit_chunk, chunks):
-            stats.merge(chunk_stats)
-            # Worker processes fed their own (discarded) global aggregate;
-            # fold the chunk's counters into this process's record instead.
-            GLOBAL_FIT_STATS.merge(chunk_stats)
-            for index, row in chunk_results:
-                results[index] = row
+        tracer = get_tracer()
+        for p, r in tasks:
+            stats = FitStats()
+            with tracer.span("validation.repetition", plan=p, repetition=r):
+                scored[p, r] = _fit_and_score(plans[p], r, stats), stats
+    else:
+        widest_first = sorted(tasks, key=lambda task: -plans[task[0]].X.shape[1])
+        with ProcessPoolExecutor(
+            max_workers=min(workers, len(tasks)),
+            initializer=_init_pool,
+            initargs=(tuple(plans),),
+        ) as pool:
+            for task, (row, stats) in zip(
+                widest_first, pool.map(_score_task, widest_first)
+            ):
+                scored[task] = row, stats
+                # Worker processes fed their own (discarded) global
+                # aggregate; fold the task's counters into this process's.
+                GLOBAL_FIT_STATS.merge(stats)
+    results = []
+    for p, plan in enumerate(plans):
+        aggregate = FitStats()
+        for r in range(plan.repetitions):
+            aggregate.merge(scored[p, r][1])
+        scores = np.asarray([scored[p, r][0] for r in range(plan.repetitions)])
+        results.append(
+            ValidationResult(
+                train_mpe=scores[:, 0],
+                test_mpe=scores[:, 1],
+                train_nrmse=scores[:, 2],
+                test_nrmse=scores[:, 3],
+                fit_stats=aggregate,
+            )
+        )
+    return results
+
+
+def score_plans(
+    plans: list[FitPlan], workers: int = 1, *, stats: FitStats | None = None
+) -> list[ValidationResult]:
+    """Run every plan's sweep; one :class:`ValidationResult` per plan.
+
+    ``workers=1`` fits inline, in (plan, repetition) order.  Otherwise
+    every (plan, repetition) task goes to one process pool, dispatched
+    singly, widest ``X`` first; rows and :class:`FitStats` are put back
+    in (plan, repetition) order, so results equal ``workers=1`` bit for
+    bit.  ``stats`` (optional, shared) accumulates each plan's aggregate,
+    in plan order.
+    """
+    with get_tracer().span(
+        "validation.subsampling",
+        plans=len(plans),
+        repetitions=sum(plan.repetitions for plan in plans),
+        samples=max((plan.X.shape[0] for plan in plans), default=0),
+        workers=workers,
+    ):
+        results = _score(plans, workers)
+    if stats is not None:
+        for result in results:
+            stats.merge(result.fit_stats)
     return results
 
 
@@ -242,6 +277,58 @@ class ValidationResult:
         return float(self.test_mpe.std())
 
 
+def _as_dataset(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float).ravel()
+    if X.ndim != 2 or X.shape[0] != y.size:
+        raise ValueError("X must be (n, k) with y of length n")
+    return X, y
+
+
+def subsampling_plan(
+    make_model: Callable[[], RegressionModel],
+    X: np.ndarray,
+    y: np.ndarray,
+    *,
+    test_fraction: float = 0.3,
+    repetitions: int = 100,
+    rng: np.random.Generator | None = None,
+) -> FitPlan:
+    """Draw a repeated-random-sub-sampling sweep's splits and fit streams.
+
+    Arguments as for :func:`repeated_random_subsampling`; ``rng`` is
+    consumed exactly as that function consumes it.
+    """
+    X, y = _as_dataset(X, y)
+    n = X.shape[0]
+    if n < 4:
+        raise ValueError(
+            "need at least four samples to split into train/test partitions "
+            "of two or more rows each"
+        )
+    if not 0.0 < test_fraction < 1.0:
+        raise ValueError("test fraction must be in (0, 1)")
+    if repetitions < 1:
+        raise ValueError("need at least one repetition")
+    if rng is None:
+        rng = np.random.default_rng(0)
+
+    # A 1-sample test split always has zero range, which makes NRMSE
+    # undefined; keep both partitions at >= 2 rows.
+    n_test = min(max(int(round(n * test_fraction)), 2), n - 2)
+    # Permutations are drawn up front, in repetition order — the same
+    # stream positions the historical serial loop consumed.
+    splits = []
+    for _ in range(repetitions):
+        perm = rng.permutation(n)
+        splits.append((perm[n_test:], perm[:n_test]))  # (train, test)
+    if _accepts_rng(make_model):
+        fit_rngs: list = _spawn_streams(rng, repetitions)
+    else:
+        fit_rngs = [None] * repetitions
+    return FitPlan(make_model, X, y, splits, fit_rngs)
+
+
 def repeated_random_subsampling(
     make_model: Callable[[], RegressionModel],
     X: np.ndarray,
@@ -280,59 +367,10 @@ def repeated_random_subsampling(
         Optional shared :class:`FitStats` that additionally accumulates
         the aggregate recorded on the returned result.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    if X.ndim != 2 or X.shape[0] != y.size:
-        raise ValueError("X must be (n, k) with y of length n")
-    n = X.shape[0]
-    if n < 4:
-        raise ValueError(
-            "need at least four samples to split into train/test partitions "
-            "of two or more rows each"
-        )
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test fraction must be in (0, 1)")
-    if repetitions < 1:
-        raise ValueError("need at least one repetition")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng(0)
-
-    # A 1-sample test split always has zero range, which makes NRMSE
-    # undefined; keep both partitions at >= 2 rows.
-    n_test = min(max(int(round(n * test_fraction)), 2), n - 2)
-    # Permutations are drawn up front, in repetition order — the same
-    # stream positions the historical serial loop consumed.
-    splits = []
-    for _ in range(repetitions):
-        perm = rng.permutation(n)
-        splits.append((perm[n_test:], perm[:n_test]))  # (train, test)
-    if _accepts_rng(make_model):
-        fit_rngs: list = _spawn_streams(rng, repetitions)
-    else:
-        fit_rngs = [None] * repetitions
-
-    aggregate = FitStats()
-    with get_tracer().span(
-        "validation.subsampling",
-        repetitions=repetitions,
-        samples=n,
-        workers=workers,
-    ):
-        rows = _map_splits(
-            make_model, X, y, splits, fit_rngs, aggregate, workers
-        )
-    scores = np.asarray(rows)
-    if stats is not None:
-        stats.merge(aggregate)
-    return ValidationResult(
-        train_mpe=scores[:, 0],
-        test_mpe=scores[:, 1],
-        train_nrmse=scores[:, 2],
-        test_nrmse=scores[:, 3],
-        fit_stats=aggregate,
+    plan = subsampling_plan(
+        make_model, X, y, test_fraction=test_fraction, repetitions=repetitions, rng=rng
     )
+    return score_plans([plan], workers, stats=stats)[0]
 
 
 @dataclass(frozen=True)
@@ -397,10 +435,7 @@ def leave_one_group_out(
         Optional shared :class:`FitStats` that additionally accumulates
         the aggregate recorded on the returned result.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    if X.ndim != 2 or X.shape[0] != y.size:
-        raise ValueError("X must be (n, k) with y of length n")
+    X, y = _as_dataset(X, y)
     if len(groups) != y.size:
         raise ValueError("need one group label per row")
     labels = np.asarray(groups)
@@ -418,9 +453,6 @@ def leave_one_group_out(
                 f"a singleton held-out group — every group needs >= 2 rows"
             )
 
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-
     indices = np.arange(y.size)
     splits = []
     for g in distinct:
@@ -433,22 +465,17 @@ def leave_one_group_out(
     else:
         fit_rngs = [None] * len(distinct)
 
-    aggregate = FitStats()
     with get_tracer().span(
         "validation.leave_one_group_out",
         folds=len(distinct),
         samples=int(y.size),
         workers=workers,
     ):
-        rows = _map_splits(
-            make_model, X, y, splits, fit_rngs, aggregate, workers
-        )
+        (result,) = _score([FitPlan(make_model, X, y, splits, fit_rngs)], workers)
     if stats is not None:
-        stats.merge(aggregate)
-    group_mpe = {g: rows[i][1] for i, g in enumerate(distinct)}
-    group_nrmse = {g: rows[i][3] for i, g in enumerate(distinct)}
+        stats.merge(result.fit_stats)
     return GroupValidationResult(
-        group_test_mpe=group_mpe,
-        group_test_nrmse=group_nrmse,
-        fit_stats=aggregate,
+        group_test_mpe=dict(zip(distinct, result.test_mpe.tolist())),
+        group_test_nrmse=dict(zip(distinct, result.test_nrmse.tolist())),
+        fit_stats=result.fit_stats,
     )

@@ -160,15 +160,14 @@ def map_scenario_batches(
     payloads: Sequence,
     *,
     workers: int = 1,
-    chunks_per_worker: int = 4,
 ):
     """Evaluate ``batch_func(engine, payload_list)`` over whole sub-batches.
 
     ``workers=1`` (the default) hands *all* payloads to one ``batch_func``
     call on the calling engine.  With ``workers > 1`` the payloads are
-    chunked across a process pool; each worker gets a pickled copy of
-    ``engine`` once, solves each chunk as one batch, and its stats are
-    merged back into ``engine.stats``.  ``batch_func`` must be a
+    cut into up to four chunks per worker across a process pool; each
+    worker gets a pickled copy of ``engine`` once, solves each chunk as
+    one batch, and its stats are merged back into ``engine.stats``.  ``batch_func`` must be a
     module-level (picklable) function returning one result per payload,
     in payload order, and must not depend on how payloads are grouped —
     which the stacked steady-state solver guarantees (each scenario's
@@ -185,7 +184,7 @@ def map_scenario_batches(
         ):
             return list(batch_func(engine, payloads)) if payloads else []
     indexed = list(enumerate(payloads))
-    n_chunks = min(len(indexed), workers * chunks_per_worker)
+    n_chunks = min(len(indexed), 4 * workers)
     chunk_size = -(-len(indexed) // n_chunks)
     chunks = [
         indexed[start : start + chunk_size]

@@ -214,7 +214,18 @@ class WorkerProcess:
                 f"worker {self.index} did not report ready within "
                 f"{_READY_TIMEOUT_S:.0f}s"
             )
-        kind, value = self._conn.recv()
+        try:
+            kind, value = self._conn.recv()
+        except EOFError:
+            # The child closed its end without a word: it is dying before
+            # reporting ready.  Let it finish (so its own exit code is the
+            # one reported), then reap it so a retry can start afresh.
+            self._process.join(timeout=5.0)
+            self.terminate()
+            raise RuntimeError(
+                f"worker {self.index} failed to start: exited with code "
+                f"{self.exitcode} before reporting ready"
+            ) from None
         if kind != "ready":
             self.terminate()
             raise RuntimeError(f"worker {self.index} failed to start: {value}")

@@ -96,6 +96,36 @@ class TestEvaluateModels:
                 a.result.test_nrmse, b.result.test_nrmse
             )
 
+    def test_full_grid_workers_equal_serial(self, small_dataset):
+        """All 12 models on one pool give the serial grid bit for bit."""
+
+        def run(workers):
+            return evaluate_models(
+                list(small_dataset), repetitions=2, seed=4, workers=workers
+            )
+
+        serial, parallel = run(1), run(2)
+        assert [e.label for e in serial] == [e.label for e in parallel]
+        for a, b in zip(serial, parallel):
+            for name in ("train_mpe", "test_mpe", "train_nrmse", "test_nrmse"):
+                np.testing.assert_array_equal(
+                    getattr(a.result, name), getattr(b.result, name)
+                )
+            for count in (
+                "fits", "restarts", "scg_iterations", "function_evals",
+                "gradient_evals",
+            ):
+                assert getattr(a.result.fit_stats, count) == getattr(
+                    b.result.fit_stats, count
+                ), (a.label, count)
+
+    def test_one_pool_per_call(self, small_dataset, pools_built):
+        evaluate_models(
+            list(small_dataset), kinds=(ModelKind.LINEAR,), repetitions=2,
+            workers=2,
+        )
+        assert len(pools_built) == 1
+
     def test_shared_stats_accumulate(self, small_dataset):
         from repro.core.fitstats import FitStats
 

@@ -106,7 +106,8 @@ class TestGradient:
         params = rng.normal(size=n_params) * 0.5
         Z = (X - X.mean(0)) / X.std(0)
         t = (y - y.mean()) / y.std()
-        loss, grad = model._loss_and_grad(params, Z, t)
+        loss_and_grad = model._kernel(Z, t)
+        loss, grad = loss_and_grad(params)
         eps = 1e-6
         numeric = np.empty_like(params)
         for i in range(n_params):
@@ -114,10 +115,63 @@ class TestGradient:
             up[i] += eps
             down[i] -= eps
             numeric[i] = (
-                model._loss_and_grad(up, Z, t)[0]
-                - model._loss_and_grad(down, Z, t)[0]
+                loss_and_grad(up)[0] - loss_and_grad(down)[0]
             ) / (2 * eps)
         np.testing.assert_allclose(grad, numeric, atol=1e-6)
+
+    @pytest.mark.parametrize("n", [7, 924])
+    @pytest.mark.parametrize("h", [10, 15, 20])
+    @pytest.mark.parametrize("d", [2, 5, 8])
+    def test_kernel_matches_reference(self, d, h, n):
+        """The (h, n) kernel computes the (n, h) reference's loss and
+        gradient, up to rounding.
+
+        Entries whose sum cancels to a small fraction of the gradient
+        carry both kernels' rounding at the gradient's scale, not their
+        own (at scale 2.0, d=8, h=20, n=924 one W1 entry of 1.3e-4 is
+        1.7e-12 off a long-double evaluation in the reference itself), so
+        the tolerance also admits 1e-12 of the largest entry.
+        """
+        rng = np.random.default_rng([d, h, n])
+        Z = rng.normal(size=(n, d))
+        t = rng.normal(size=n)
+        model = NeuralNetworkModel(hidden_units=h, l2=1e-3)
+        model._shapes = (d, h)
+        loss_and_grad = model._kernel(Z, t)
+        for scale in (0.1, 0.5, 2.0):
+            params = rng.normal(size=d * h + 2 * h + 1) * scale
+            loss, grad = loss_and_grad(params)
+            ref_loss, ref_grad = _reference_loss_and_grad(params, Z, t, d, h, 1e-3)
+            np.testing.assert_allclose(loss, ref_loss, rtol=1e-12)
+            np.testing.assert_allclose(
+                grad, ref_grad, rtol=1e-12, atol=1e-12 * np.abs(ref_grad).max()
+            )
+
+
+def _reference_loss_and_grad(params, Z, t, d, h, l2):
+    """The earlier ``(n, h)`` loss/gradient kernel, kept as a test oracle.
+
+    Activations ``(n, h)``, biases added by broadcasting, ``W2`` applied
+    to every backpropagated activation, einsum reductions.
+    """
+    n = Z.shape[0]
+    W1 = params[: d * h].reshape(d, h)
+    b1 = params[d * h : d * h + h]
+    W2 = params[d * h + h : d * h + 2 * h]
+    b2 = float(params[-1])
+    H = np.tanh(Z @ W1 + b1)
+    err = H @ W2 + b2 - t
+    loss = 0.5 * float(np.einsum("n,n->", err, err)) / n + 0.5 * l2 * (
+        float(np.einsum("dh,dh->", W1, W1)) + float(np.einsum("h,h->", W2, W2))
+    )
+    err /= n
+    grad = np.empty(params.size)
+    grad[d * h + h : d * h + 2 * h] = H.T @ err + l2 * W2
+    grad[-1] = err.sum()
+    D = (1.0 - H * H) * W2 * err[:, None]
+    grad[: d * h] = (Z.T @ D + l2 * W1).ravel()
+    grad[d * h : d * h + h] = D.sum(axis=0)
+    return loss, grad
 
 
 class TestValidation:

@@ -77,6 +77,13 @@ class TestForwardSelection:
                 LinearModel, list(small_dataset), workers=0
             )
 
+    def test_one_pool_per_round(self, small_dataset, pools_built):
+        forward_selection(
+            LinearModel, list(small_dataset), repetitions=2,
+            max_features=3, workers=2,
+        )
+        assert len(pools_built) == 3
+
     def test_workers_do_not_change_trajectory(self, small_dataset):
         def run(workers):
             return forward_selection(
@@ -121,6 +128,12 @@ class TestRankFeatureSets:
             )
 
         assert run(1) == run(2)
+
+    def test_one_pool_per_call(self, small_dataset, pools_built):
+        rank_feature_sets(
+            LinearModel, list(small_dataset), repetitions=2, workers=2
+        )
+        assert len(pools_built) == 1
 
     def test_restricted_sets_and_validation(self, small_dataset):
         ranking = rank_feature_sets(

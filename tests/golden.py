@@ -3,10 +3,12 @@
 Each value in ``golden.json`` is a sha256 (or exact float list) of a
 pipeline output at a fixed seed: full Table V collection on both Xeons, a
 reduced and a 30-scenario random collection, a baseline table and three
-multi-restart neural fits.  The values were captured from the per-scenario
-serial collection path and the serial SCG restart loop, and checked to be
-equal on the stacked collection solver and stacked-restart SCG, before the
-duplicate paths were removed.  A change that moves any collected time or
+multi-restart neural fits.  The collection values were captured from the
+per-scenario serial collection path and checked to be equal on the
+stacked collection solver before the duplicate path was removed; the
+neural values were re-captured when the loss/gradient kernel moved to its
+``(h, n)`` layout, after ``tests/core/test_neural.py`` had checked it
+against the earlier kernel.  A change that moves any collected time or
 trained weight by one ulp fails the tests that read them.
 
 The neural values depend on the BLAS's matmul accumulation order; they

@@ -51,6 +51,12 @@ def test_evaluate_trace_records_fit_and_validation_spans(
     payload = json.loads(trace_path.read_text())
     names = {e["name"] for e in payload["traceEvents"] if e.get("ph") == "X"}
     assert "validation.subsampling" in names
+    # The whole 12-model grid is one validation call.
+    (grid,) = [
+        e for e in payload["traceEvents"] if e["name"] == "validation.subsampling"
+    ]
+    assert grid["args"]["plans"] == 12
+    assert grid["args"]["repetitions"] == 12
     assert "fit.neural" in names
     assert "fit.scg_restart" in names
 
