@@ -157,6 +157,9 @@ class EnsemblePredictor:
                 initargs=(self.kind, self.feature_set, X, y),
             ) as pool:
                 members = list(pool.map(_fit_member, tasks))
+        # Neural members counted their own fits (in the global too, when
+        # fitted in this process); a member without a record counts here,
+        # once, and reaches the global through ``record_fit``.
         aggregate = FitStats()
         for member in members:
             member_stats = getattr(member, "fit_stats_", None)

@@ -43,6 +43,10 @@ class FitStats:
         Wall-clock seconds spent inside ``fit``.  Under process-parallel
         validation this sums per-worker time, which can exceed elapsed
         time — that surplus *is* the parallel speedup.
+
+    ``record_fit`` on a record other than :data:`GLOBAL_FIT_STATS` also
+    counts there, so a fit is recorded once and lands in both places.
+    ``merge`` never forwards.
     """
 
     fits: int = 0
@@ -78,6 +82,14 @@ class FitStats:
         self.function_evals += function_evals
         self.gradient_evals += gradient_evals
         self.wall_time_s += wall_time_s
+        if self is not GLOBAL_FIT_STATS:
+            GLOBAL_FIT_STATS.record_fit(
+                restarts=restarts,
+                scg_iterations=scg_iterations,
+                function_evals=function_evals,
+                gradient_evals=gradient_evals,
+                wall_time_s=wall_time_s,
+            )
 
     def merge(self, other: "FitStats") -> None:
         """Fold another record (e.g. a worker process's) into this one."""
@@ -113,8 +125,8 @@ class FitStats:
         return "\n".join(lines)
 
 
-#: Process-wide aggregate across every model fit in this process.  Neural
-#: fits feed it directly; the validation layer's process-parallel path
-#: folds worker chunk records in, so one scrape of the metrics registry
-#: (:mod:`repro.obs`) sees the whole run.
+#: Process-wide aggregate across every model fit in this process.  Every
+#: other record forwards its fits here; the validation layer's
+#: process-parallel path folds worker task records in, so one scrape of
+#: the metrics registry (:mod:`repro.obs`) sees the whole run.
 GLOBAL_FIT_STATS = FitStats()

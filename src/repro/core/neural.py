@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from ..obs.trace import get_tracer
-from .fitstats import GLOBAL_FIT_STATS, FitStats
+from .fitstats import FitStats
 from .scg import minimize_scg
 
 __all__ = ["NeuralNetworkModel", "default_hidden_units"]
@@ -271,7 +271,6 @@ class NeuralNetworkModel:
         self.restart_losses_ = losses
         self.fit_stats_ = record
         self.stats.merge(record)
-        GLOBAL_FIT_STATS.merge(record)
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:

@@ -136,10 +136,9 @@ def _fit_and_score(
         stats.merge(fit_stats)
     else:
         # Models without their own record (e.g. the linear model) still
-        # count: once here, once in the process-wide aggregate.  (Neural
-        # fits feed the global from inside ``fit`` instead.)
+        # count; ``stats`` forwards the fit to the process-wide aggregate.
+        # (Neural fits feed the global from inside ``fit`` instead.)
         stats.record_fit(wall_time_s=elapsed)
-        GLOBAL_FIT_STATS.record_fit(wall_time_s=elapsed)
     pred_train = model.predict(X[train_idx])
     pred_test = model.predict(X[test_idx])
     return (

@@ -13,10 +13,11 @@ through:
   buffer, and a Chrome trace-event JSON exporter (open the file in
   Perfetto).  The process tracer defaults to a no-op ``NullTracer`` so
   instrumentation costs nearly nothing until enabled;
-* :mod:`~repro.obs.registry` — a central ``MetricsRegistry`` (counters,
-  gauges, histograms, with labels) rendering one Prometheus text
-  exposition, plus named sources that adapt the pre-existing stats
-  records (:mod:`~repro.obs.adapters`) so a single scrape sees
+* :mod:`~repro.obs.registry` — one metrics model: every family is a
+  typed instrument (counter, gauge, histogram, with labels) declared
+  once on a ``MetricsRegistry``, rendering one Prometheus text
+  exposition; the built-in families (:mod:`~repro.obs.adapters`) read
+  the pre-existing stats records at scrape time, so a single scrape sees
   simulation, fitting, and serving together;
 * :mod:`~repro.obs.log` — structured JSON logging that stamps every
   record with the active trace/span ID;
@@ -26,7 +27,7 @@ through:
 Everything is standard library only.  See ``docs/observability.md``.
 """
 
-from .adapters import install_default_sources
+from .adapters import install_default_metrics
 from .log import ObsLogger, configure, get_logger
 from .registry import (
     Counter,
@@ -88,7 +89,7 @@ __all__ = [
     "get_logger",
     "get_registry",
     "get_tracer",
-    "install_default_sources",
+    "install_default_metrics",
     "load_otlp",
     "load_trace",
     "records_to_otlp",

@@ -1,238 +1,193 @@
-"""Bridges from the pre-existing stats records into the one registry.
+"""The built-in families every scrape carries.
 
-The simulator, the fitting engine, and the serving layer each kept their
-own observability record long before ``repro.obs`` existed —
+The simulator, the fitting engine, the suite runner and the tracer each
+keep their own plain record —
 :class:`~repro.sim.solve_cache.EngineStats`,
-:class:`~repro.core.fitstats.FitStats`, and
-:class:`~repro.serve.metrics.ServingMetrics`.  Rather than rewrite them,
-each gets an *adapter*: a render callable that reads the record at scrape
-time and emits conformant Prometheus text.  Registering all three on one
-:class:`~repro.obs.registry.MetricsRegistry` is what lets a single
-``GET /metrics`` scrape see simulation, fitting, and serving together.
+:class:`~repro.core.fitstats.FitStats`,
+:class:`~repro.suite.stats.SuiteStats` and the tracer's drop counts.
+Their families are declared here once, as instruments whose
+``set_function`` reads the record at scrape time, so the records stay
+free of any metrics dependency.
 
-The engine and fit adapters read the process-global aggregates
-(``GLOBAL_ENGINE_STATS`` / ``GLOBAL_FIT_STATS``) that every engine solve
-and model fit also feeds; imports are deferred to scrape time so this
-module never drags the simulator into processes that only serve models.
+By default each family reads the process-wide aggregate
+(``GLOBAL_ENGINE_STATS``, ``GLOBAL_FIT_STATS``, ``GLOBAL_SUITE_STATS``),
+imported at scrape time so this module never drags the simulator into
+processes that only serve models; pass a record to bind the families to
+that record instead.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from .registry import MetricsRegistry, format_value
+from .registry import MetricsRegistry
+from .trace import get_tracer
 
 __all__ = [
-    "engine_stats_exposition",
-    "fit_stats_exposition",
-    "install_default_sources",
-    "obs_stats_exposition",
-    "render_engine_stats",
-    "render_fit_stats",
-    "render_registry_backend",
-    "suite_stats_exposition",
+    "bind_counters",
+    "install_default_metrics",
+    "install_engine_metrics",
+    "install_fit_metrics",
+    "install_obs_metrics",
+    "install_suite_metrics",
 ]
 
 #: Fixed-point iteration bucket bounds for the engine histogram.
 ENGINE_ITERATION_BUCKETS = (25, 50, 100, 200, 400, 600)
 
+#: (family, record field, help) of every :class:`EngineStats` counter.
+ENGINE_COUNTERS = (
+    ("repro_engine_solves_total", "solves", "Fixed-point solves performed."),
+    ("repro_engine_cache_hits_total", "cache_hits", "Steady-state cache hits."),
+    ("repro_engine_cache_misses_total", "cache_misses",
+     "Steady-state cache misses."),
+    ("repro_engine_cache_evictions_total", "cache_evictions",
+     "Bounded solve-cache LRU evictions."),
+    ("repro_engine_convergence_failures_total", "convergence_failures",
+     "Solves that failed to converge."),
+    ("repro_engine_batches_total", "batches",
+     "Batched steady-state solves performed."),
+    ("repro_engine_batched_scenarios_total", "batched_scenarios",
+     "Scenarios requested across batched solves."),
+    ("repro_engine_batch_dedupe_hits_total", "batch_dedupe_hits",
+     "Scenarios served by deduplicating a repeated solve key within one "
+     "batch."),
+    ("repro_engine_frozen_iterations_saved_total", "frozen_iterations_saved",
+     "Stacked iterations skipped by freezing converged scenarios."),
+)
 
-def render_engine_stats(stats) -> str:
-    """One :class:`EngineStats` record as Prometheus text."""
-    lines = [
-        "# HELP repro_engine_solves_total Fixed-point solves performed.",
-        "# TYPE repro_engine_solves_total counter",
-        f"repro_engine_solves_total {stats.solves}",
-        "# HELP repro_engine_cache_hits_total Steady-state cache hits.",
-        "# TYPE repro_engine_cache_hits_total counter",
-        f"repro_engine_cache_hits_total {stats.cache_hits}",
-        "# HELP repro_engine_cache_misses_total Steady-state cache misses.",
-        "# TYPE repro_engine_cache_misses_total counter",
-        f"repro_engine_cache_misses_total {stats.cache_misses}",
-        "# HELP repro_engine_cache_evictions_total Bounded solve-cache LRU "
-        "evictions.",
-        "# TYPE repro_engine_cache_evictions_total counter",
-        f"repro_engine_cache_evictions_total {stats.cache_evictions}",
-        "# HELP repro_engine_convergence_failures_total Solves that failed "
-        "to converge.",
-        "# TYPE repro_engine_convergence_failures_total counter",
-        f"repro_engine_convergence_failures_total {stats.convergence_failures}",
-        "# HELP repro_engine_batches_total Batched steady-state solves "
-        "performed.",
-        "# TYPE repro_engine_batches_total counter",
-        f"repro_engine_batches_total {stats.batches}",
-        "# HELP repro_engine_batched_scenarios_total Scenarios requested "
-        "across batched solves.",
-        "# TYPE repro_engine_batched_scenarios_total counter",
-        f"repro_engine_batched_scenarios_total {stats.batched_scenarios}",
-        "# HELP repro_engine_batch_dedupe_hits_total Scenarios served by "
-        "deduplicating a repeated solve key within one batch.",
-        "# TYPE repro_engine_batch_dedupe_hits_total counter",
-        f"repro_engine_batch_dedupe_hits_total {stats.batch_dedupe_hits}",
-        "# HELP repro_engine_frozen_iterations_saved_total Stacked "
-        "iterations skipped by freezing converged scenarios.",
-        "# TYPE repro_engine_frozen_iterations_saved_total counter",
-        f"repro_engine_frozen_iterations_saved_total "
-        f"{stats.frozen_iterations_saved}",
-        "# HELP repro_engine_solve_iterations Fixed-point iterations per "
-        "solve.",
-        "# TYPE repro_engine_solve_iterations histogram",
-    ]
-    cumulative = 0
-    total = sum(stats.iteration_counts.values())
-    weighted = sum(i * n for i, n in stats.iteration_counts.items())
-    for bound in ENGINE_ITERATION_BUCKETS:
-        cumulative = sum(
-            n for i, n in stats.iteration_counts.items() if i <= bound
+#: (family, record field, help) of every :class:`FitStats` counter.
+FIT_COUNTERS = (
+    ("repro_fit_fits_total", "fits", "Completed model fit calls."),
+    ("repro_fit_restarts_total", "restarts",
+     "SCG weight initializations optimized."),
+    ("repro_fit_scg_iterations_total", "scg_iterations",
+     "SCG iterations advanced."),
+    ("repro_fit_function_evals_total", "function_evals", "Loss evaluations."),
+    ("repro_fit_gradient_evals_total", "gradient_evals",
+     "Gradient evaluations."),
+    ("repro_fit_wall_seconds_total", "wall_time_s",
+     "Wall seconds inside fit calls (sums per-process time under parallel "
+     "validation)."),
+)
+
+#: (family, record field, help) of every :class:`SuiteStats` counter.
+SUITE_COUNTERS = (
+    ("repro_suite_runs_total", "runs", "Suite runs started."),
+    ("repro_suite_nodes_run_total", "nodes_run", "Suite nodes executed."),
+    ("repro_suite_nodes_skipped_total", "nodes_skipped",
+     "Suite nodes resolved from the store."),
+    ("repro_suite_nodes_failed_total", "nodes_failed",
+     "Suite nodes that raised."),
+    ("repro_suite_nodes_resumed_total", "nodes_resumed",
+     "Store hits left by a prior run."),
+    ("repro_suite_store_hits_total", "store_hits",
+     "Artifact-store node manifest hits."),
+    ("repro_suite_store_misses_total", "store_misses",
+     "Artifact-store node manifest misses."),
+    ("repro_suite_solve_cache_loaded_total", "solve_cache_entries_loaded",
+     "Solve-cache entries loaded from the store."),
+    ("repro_suite_solve_cache_saved_total", "solve_cache_entries_saved",
+     "Solve-cache entries persisted to the store."),
+)
+
+
+def bind_counters(
+    registry: MetricsRegistry, read: Callable[[], object], counters
+) -> MetricsRegistry:
+    """Declare ``(family, field, help)`` counters reading ``read().field``."""
+    for name, field, help_text in counters:
+        registry.counter(name, help_text).set_function(
+            lambda field=field: getattr(read(), field)
         )
-        lines.append(
-            f'repro_engine_solve_iterations_bucket{{le="{format_value(bound)}"}} '
-            f"{cumulative}"
-        )
-    lines.append(f'repro_engine_solve_iterations_bucket{{le="+Inf"}} {total}')
-    lines.append(f"repro_engine_solve_iterations_sum {weighted}")
-    lines.append(f"repro_engine_solve_iterations_count {total}")
-    return "\n".join(lines)
+    return registry
 
 
-def render_fit_stats(stats) -> str:
-    """One :class:`FitStats` record as Prometheus text."""
-    return "\n".join(
-        [
-            "# HELP repro_fit_fits_total Completed model fit calls.",
-            "# TYPE repro_fit_fits_total counter",
-            f"repro_fit_fits_total {stats.fits}",
-            "# HELP repro_fit_restarts_total SCG weight initializations "
-            "optimized.",
-            "# TYPE repro_fit_restarts_total counter",
-            f"repro_fit_restarts_total {stats.restarts}",
-            "# HELP repro_fit_scg_iterations_total SCG iterations advanced.",
-            "# TYPE repro_fit_scg_iterations_total counter",
-            f"repro_fit_scg_iterations_total {stats.scg_iterations}",
-            "# HELP repro_fit_function_evals_total Loss evaluations.",
-            "# TYPE repro_fit_function_evals_total counter",
-            f"repro_fit_function_evals_total {stats.function_evals}",
-            "# HELP repro_fit_gradient_evals_total Gradient evaluations.",
-            "# TYPE repro_fit_gradient_evals_total counter",
-            f"repro_fit_gradient_evals_total {stats.gradient_evals}",
-            "# HELP repro_fit_wall_seconds_total Wall seconds inside fit "
-            "calls (sums per-process time under parallel validation).",
-            "# TYPE repro_fit_wall_seconds_total counter",
-            f"repro_fit_wall_seconds_total {format_value(stats.wall_time_s)}",
-        ]
-    )
-
-
-def render_registry_backend(backend) -> str:
-    """Inventory gauges for one registry backend, read at scrape time.
-
-    ``backend`` is anything speaking the
-    :class:`~repro.registry.backend.RegistryBackend` protocol; the
-    registry server registers this so a scrape reports how many models,
-    versions, and tombstones the store is holding.
-    """
-    manifests = backend.list()
-    names = {m.name for m in manifests}
-    tombstones = sum(
-        1
-        for m in manifests
-        if backend.tombstone_reason(m.name, m.version) is not None
-    )
-    return "\n".join(
-        [
-            "# HELP repro_registry_models Distinct model names stored.",
-            "# TYPE repro_registry_models gauge",
-            f"repro_registry_models {len(names)}",
-            "# HELP repro_registry_versions Stored model versions "
-            "(tombstoned included).",
-            "# TYPE repro_registry_versions gauge",
-            f"repro_registry_versions {len(manifests)}",
-            "# HELP repro_registry_tombstones Versions currently blocked "
-            "by a tombstone.",
-            "# TYPE repro_registry_tombstones gauge",
-            f"repro_registry_tombstones {tombstones}",
-        ]
-    )
-
-
-def engine_stats_exposition() -> str:
-    """Scrape-time render of the process-global engine aggregate."""
+def _global_engine_stats():
     from ..sim.solve_cache import GLOBAL_ENGINE_STATS
 
-    return render_engine_stats(GLOBAL_ENGINE_STATS)
+    return GLOBAL_ENGINE_STATS
 
 
-def suite_stats_exposition() -> str:
-    """Scrape-time render of the process-global suite-run aggregate."""
-    from ..suite.stats import GLOBAL_SUITE_STATS, render_suite_stats
-
-    return render_suite_stats(GLOBAL_SUITE_STATS)
-
-
-def fit_stats_exposition() -> str:
-    """Scrape-time render of the process-global fitting aggregate."""
+def _global_fit_stats():
     from ..core.fitstats import GLOBAL_FIT_STATS
 
-    return render_fit_stats(GLOBAL_FIT_STATS)
+    return GLOBAL_FIT_STATS
 
 
-def obs_stats_exposition() -> str:
-    """Scrape-time render of the process tracer's own health counters.
+def _global_suite_stats():
+    from ..suite.stats import GLOBAL_SUITE_STATS
 
-    Span loss used to be silent: the tracer ring buffer wraps and a
-    streaming tracer's bounded queue sheds, both by design (tracing must
-    never block a hot path), but neither was observable.  This source
-    exposes the drops — and, for streaming tracers, the shipped/error
-    counts — on every server's ``/metrics``; the labels survive the
-    tier's merged scrape (counters sum across workers).
+    return GLOBAL_SUITE_STATS
+
+
+def install_engine_metrics(registry: MetricsRegistry, stats=None) -> MetricsRegistry:
+    """The ``repro_engine_*`` families, reading ``stats`` (default: global)."""
+    read = _global_engine_stats if stats is None else (lambda: stats)
+    bind_counters(registry, read, ENGINE_COUNTERS)
+    registry.histogram(
+        "repro_engine_solve_iterations",
+        "Fixed-point iterations per solve.",
+        buckets=ENGINE_ITERATION_BUCKETS,
+    ).set_function(lambda: read().iteration_counts)
+    return registry
+
+
+def install_fit_metrics(registry: MetricsRegistry, stats=None) -> MetricsRegistry:
+    """The ``repro_fit_*`` families, reading ``stats`` (default: global)."""
+    read = _global_fit_stats if stats is None else (lambda: stats)
+    return bind_counters(registry, read, FIT_COUNTERS)
+
+
+def install_suite_metrics(registry: MetricsRegistry, stats=None) -> MetricsRegistry:
+    """The ``repro_suite_*`` families, reading ``stats`` (default: global)."""
+    read = _global_suite_stats if stats is None else (lambda: stats)
+    return bind_counters(registry, read, SUITE_COUNTERS)
+
+
+def install_obs_metrics(registry: MetricsRegistry) -> MetricsRegistry:
+    """The process tracer's own health: spans dropped, streamed, failed.
+
+    The tracer ring buffer wraps and a streaming tracer's bounded queue
+    sheds, both by design (tracing must never block a hot path); these
+    families make the loss visible.  The streaming families appear only
+    while the process tracer streams to a collector.
     """
-    from .trace import get_tracer
 
-    tracer = get_tracer()
-    ring_dropped = int(getattr(tracer, "dropped", 0))
-    sender = getattr(tracer, "sender", None)
-    lines = [
-        "# HELP repro_obs_spans_dropped_total Spans lost by this process, "
-        "by where they were shed.",
-        "# TYPE repro_obs_spans_dropped_total counter",
-        f'repro_obs_spans_dropped_total{{reason="ring_wrap"}} {ring_dropped}',
-        f'repro_obs_spans_dropped_total{{reason="stream_shed"}} '
-        f"{int(getattr(sender, 'dropped', 0))}",
-    ]
-    if sender is not None:
-        lines += [
-            "# HELP repro_obs_spans_streamed_total Spans shipped to the "
-            "trace collector.",
-            "# TYPE repro_obs_spans_streamed_total counter",
-            f"repro_obs_spans_streamed_total {int(sender.sent)}",
-            "# HELP repro_obs_span_send_errors_total Failed span batch "
-            "POSTs (each costs one batch).",
-            "# TYPE repro_obs_span_send_errors_total counter",
-            f"repro_obs_span_send_errors_total {int(sender.send_errors)}",
-        ]
-    return "\n".join(lines)
+    def sender():
+        return getattr(get_tracer(), "sender", None)
+
+    def streaming() -> bool:
+        return sender() is not None
+
+    dropped = registry.counter(
+        "repro_obs_spans_dropped_total",
+        "Spans lost by this process, by where they were shed.",
+        ("reason",),
+    )
+    dropped.set_function(
+        lambda: int(getattr(get_tracer(), "dropped", 0)), reason="ring_wrap"
+    )
+    dropped.set_function(
+        lambda: int(getattr(sender(), "dropped", 0)), reason="stream_shed"
+    )
+    registry.counter(
+        "repro_obs_spans_streamed_total",
+        "Spans shipped to the trace collector.",
+        visible=streaming,
+    ).set_function(lambda: sender().sent)
+    registry.counter(
+        "repro_obs_span_send_errors_total",
+        "Failed span batch POSTs (each costs one batch).",
+        visible=streaming,
+    ).set_function(lambda: sender().send_errors)
+    return registry
 
 
-def install_default_sources(
-    registry: MetricsRegistry,
-    *,
-    serving: Callable[[], str] | None = None,
-    sched: Callable[[], str] | None = None,
-) -> MetricsRegistry:
-    """Register the built-in engine and fit sources on ``registry``.
-
-    Pass ``serving`` (typically ``metrics.render_prometheus``) to merge a
-    server's request-path metrics into the same scrape; the prediction
-    server does exactly that for its own registry.  ``sched`` merges the
-    scheduler service's ``repro_sched_*`` family (placements,
-    migrations, decision latency, regret) the same way.
-    """
-    registry.register_source("engine", engine_stats_exposition)
-    registry.register_source("fit", fit_stats_exposition)
-    registry.register_source("obs", obs_stats_exposition)
-    registry.register_source("suite", suite_stats_exposition)
-    if serving is not None:
-        registry.register_source("serving", serving)
-    if sched is not None:
-        registry.register_source("sched", sched)
+def install_default_metrics(registry: MetricsRegistry) -> MetricsRegistry:
+    """Declare the engine, fit, tracer and suite families on ``registry``."""
+    install_engine_metrics(registry)
+    install_fit_metrics(registry)
+    install_obs_metrics(registry)
+    install_suite_metrics(registry)
     return registry

@@ -28,7 +28,7 @@ import threading
 from collections import deque
 
 from ..serve.http import HTTPError, HttpServerBase, Request, ServerThreadBase
-from .adapters import install_default_sources
+from .adapters import install_default_metrics
 from .registry import MetricsRegistry
 
 __all__ = ["CollectorServer", "CollectorThread"]
@@ -65,10 +65,30 @@ class CollectorServer(HttpServerBase):
         self.client_dropped = 0
         #: Batches received per service name.
         self.batches: dict[str, int] = {}
-        self.obs_registry = install_default_sources(MetricsRegistry())
-        self.obs_registry.register_source(
-            "collector", self._render_collector_metrics
+        self.obs_registry = obs = install_default_metrics(MetricsRegistry())
+        obs.counter(
+            "repro_obs_collector_spans_received_total",
+            "Spans accepted by the collector.",
+        ).set_function(lambda: self.received)
+        obs.gauge(
+            "repro_obs_collector_spans_stored",
+            "Spans currently retained in the collector ring.",
+        ).set_function(lambda: len(self))
+        obs.counter(
+            "repro_obs_collector_batches_total",
+            "Span batches received per origin service.",
+            ("service",),
+        ).set_function(self._batch_counts)
+        # Its own family: the default repro_obs_spans_dropped_total already
+        # counts this process's tracer.
+        dropped = obs.counter(
+            "repro_obs_collector_spans_dropped_total",
+            "Spans lost before reaching collector storage, by where they "
+            "were shed.",
+            ("reason",),
         )
+        dropped.set_function(lambda: self.dropped, reason="ring_wrap")
+        dropped.set_function(lambda: self.client_dropped, reason="sender_shed")
 
     @property
     def endpoint(self) -> str:
@@ -112,11 +132,7 @@ class CollectorServer(HttpServerBase):
                 {"status": "ok", "spans": len(self)}
             ).encode()
         if request.path == "/metrics":
-            return (
-                200,
-                "text/plain; version=0.0.4",
-                self.obs_registry.render().encode(),
-            )
+            return self._scrape(request)
         if request.path == "/v1/spans":
             if request.method == "GET":
                 return 200, "application/json", json.dumps(
@@ -181,45 +197,9 @@ class CollectorServer(HttpServerBase):
                 )
         return batches
 
-    # ------------------------------------------------------------ metrics
-    def _render_collector_metrics(self) -> str:
+    def _batch_counts(self) -> dict[str, int]:
         with self._lock:
-            received = self.received
-            stored = len(self._records)
-            ring_dropped = self.dropped
-            shed = self.client_dropped
-            batches = dict(self.batches)
-        lines = [
-            "# HELP repro_obs_collector_spans_received_total Spans accepted "
-            "by the collector.",
-            "# TYPE repro_obs_collector_spans_received_total counter",
-            f"repro_obs_collector_spans_received_total {received}",
-            "# HELP repro_obs_collector_spans_stored Spans currently "
-            "retained in the collector ring.",
-            "# TYPE repro_obs_collector_spans_stored gauge",
-            f"repro_obs_collector_spans_stored {stored}",
-            "# HELP repro_obs_collector_batches_total Span batches received "
-            "per origin service.",
-            "# TYPE repro_obs_collector_batches_total counter",
-        ]
-        for service in sorted(batches):
-            lines.append(
-                f'repro_obs_collector_batches_total{{service="{service}"}} '
-                f"{batches[service]}"
-            )
-        # Scoped under its own family: the registry's default "obs"
-        # source already renders repro_obs_spans_dropped_total for this
-        # process's tracer, and one exposition must not repeat a family.
-        lines += [
-            "# HELP repro_obs_collector_spans_dropped_total Spans lost "
-            "before reaching collector storage, by where they were shed.",
-            "# TYPE repro_obs_collector_spans_dropped_total counter",
-            f'repro_obs_collector_spans_dropped_total{{reason="ring_wrap"}} '
-            f"{ring_dropped}",
-            f'repro_obs_collector_spans_dropped_total{{reason="sender_shed"}} '
-            f"{shed}",
-        ]
-        return "\n".join(lines)
+            return dict(self.batches)
 
     # ------------------------------------------------------------- export
     def to_chrome_events(self) -> list[dict]:

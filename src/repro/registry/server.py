@@ -42,8 +42,7 @@ import hmac
 import json
 
 from ..core.persistence import PersistenceError, artifact_from_dict
-from ..obs.adapters import install_default_sources, render_registry_backend
-from ..obs.registry import MetricsRegistry
+from ..obs.adapters import install_default_metrics
 from ..serve.http import HTTPError, HttpServerBase, Request, ServerThreadBase
 from ..serve.metrics import ServingMetrics
 from .local import ModelRegistry, RegistryError, TombstoneError, parse_ref
@@ -101,11 +100,23 @@ class RegistryServer(HttpServerBase):
             if metrics is not None
             else ServingMetrics(prefix="repro_registry")
         )
-        self.obs_registry = install_default_sources(
-            MetricsRegistry(), serving=self.metrics.render_prometheus
-        )
-        self.obs_registry.register_source(
-            "registry_backend", lambda: render_registry_backend(self.backend)
+        self.obs_registry = obs = install_default_metrics(self.metrics.registry)
+        # Store inventory, read from the backend at scrape time.
+        obs.gauge(
+            "repro_registry_models", "Distinct model names stored."
+        ).set_function(lambda: len(self.backend.names()))
+        obs.gauge(
+            "repro_registry_versions",
+            "Stored model versions (tombstoned included).",
+        ).set_function(lambda: len(self.backend.list()))
+        obs.gauge(
+            "repro_registry_tombstones",
+            "Versions currently blocked by a tombstone.",
+        ).set_function(
+            lambda: sum(
+                self.backend.tombstone_reason(m.name, m.version) is not None
+                for m in self.backend.list()
+            )
         )
 
     # ------------------------------------------------------------- hooks
@@ -130,9 +141,7 @@ class RegistryServer(HttpServerBase):
             body = {"status": "ok", "models": len(self.backend.names())}
             return 200, "application/json", json.dumps(body).encode()
         if path == "/metrics":
-            self._require(method, "GET")
-            text = self.obs_registry.render()
-            return 200, "text/plain; version=0.0.4", text.encode()
+            return self._scrape(request)
         if path == "/v1/models":
             self._require(method, "GET")
             return self._list_models(request)

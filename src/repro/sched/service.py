@@ -19,8 +19,12 @@ policy on every placement.
 Failure semantics: if the prediction tier fails a round's batched
 predict, the round's jobs go back to the front of the queue, the failure
 is counted as ``repro_sched_failures_total{reason="predict"}``, and the
-loop retries after a fixed :data:`PREDICT_RETRY_S` delay.  Accepted jobs
-are never stranded; a drain still completes or requeues every one.
+loop retries after a fixed :data:`PREDICT_RETRY_S` delay.  If the
+governor's P-state choice fails, the placement keeps the node's current
+P-state and the failure is counted with ``reason="governor"``.  Accepted
+jobs are never stranded; a drain still completes or requeues every one.
+Should the loop itself die, ``/healthz`` answers 503 ``loop_failed``
+with the error.
 
 Reuses the serving plumbing end to end: :class:`HttpServerBase` drain
 protocol, ``/metrics`` (merged obs registry), ``X-Request-Id``, tracing.
@@ -48,12 +52,12 @@ from ..core.features import Feature, feature_row
 from ..core.feature_sets import features_for
 from ..energy.power import PowerModel
 from ..harness.baselines import BaselineTable
-from ..obs.adapters import install_default_sources
+from ..obs.adapters import bind_counters, install_default_metrics
 from ..obs.registry import MetricsRegistry
 from ..obs.trace import get_tracer
 from ..serve.client import PredictionClient
 from ..serve.http import HTTPError, HttpServerBase, Request, ServerThreadBase
-from ..serve.metrics import LatencyHistogram, ServingMetrics
+from ..serve.metrics import ServingMetrics
 from ..sim.engine import SimulationEngine
 from ..sim.solve_cache import SolveCache
 from ..workloads.app import ApplicationSpec
@@ -85,28 +89,33 @@ PREDICT_RETRY_S = 0.05
 _ALL_FEATURES = tuple(Feature)
 
 
-def _render_histogram(name: str, help_text: str, hist: LatencyHistogram) -> list[str]:
-    """Prometheus histogram samples (cumulative ``le`` buckets)."""
-    lines = [f"# HELP {name} {help_text}", f"# TYPE {name} histogram"]
-    cumulative = 0
-    for bound, count in zip(hist.buckets, hist.bucket_counts):
-        cumulative += count
-        lines.append(f'{name}_bucket{{le="{bound}"}} {cumulative}')
-    cumulative += hist.bucket_counts[-1]
-    lines.append(f'{name}_bucket{{le="+Inf"}} {cumulative}')
-    lines.append(f"{name}_sum {hist.total}")
-    lines.append(f"{name}_count {hist.count}")
-    return lines
+#: (family, record field, help) of every :class:`SchedMetrics` count.
+SCHED_COUNTERS = (
+    ("repro_sched_jobs_submitted_total", "jobs_submitted",
+     "Jobs accepted via POST /v1/jobs."),
+    ("repro_sched_placements_total", "placements",
+     "Placement decisions committed."),
+    ("repro_sched_migrations_total", "migrations",
+     "Threshold-triggered job migrations."),
+    ("repro_sched_completions_total", "completions", "Jobs run to completion."),
+    ("repro_sched_requeued_total", "requeued",
+     "Jobs explicitly requeued at drain."),
+    ("repro_sched_predict_batches_total", "predict_batches",
+     "Batched prediction calls to the serving tier."),
+    ("repro_sched_predict_rows_total", "predict_rows",
+     "Candidate rows scored by the serving tier."),
+)
 
 
 class SchedMetrics:
-    """Scheduler-semantics counters exported as ``repro_sched_*``.
+    """Scheduler-semantics record, exported as ``repro_sched_*``.
 
-    Single-threaded like :class:`~repro.serve.metrics.ServingMetrics`:
-    only the scheduler loop mutates it; ``/metrics`` reads a snapshot.
+    Only the scheduler loop mutates it.  The counts are plain fields the
+    service's ``registry`` reads at scrape time; the histograms and the
+    failure counter are instruments on it.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, registry: MetricsRegistry) -> None:
         self.jobs_submitted = 0
         self.placements = 0
         self.migrations = 0
@@ -114,23 +123,44 @@ class SchedMetrics:
         self.requeued = 0
         self.predict_batches = 0
         self.predict_rows = 0
-        #: Batched predicts the scorer failed (exported with
-        #: ``reason="predict"`` on ``repro_sched_failures_total``).
-        self.predict_failures = 0
-        #: Wall latency of one scheduling round (includes the batched
-        #: predict round-trip when the model policy is active).
-        self.decision_latency = LatencyHistogram()
-        self.predicted_degradation = LatencyHistogram(
-            buckets=DEGRADATION_BUCKETS
-        )
-        self.realized_degradation = LatencyHistogram(
-            buckets=DEGRADATION_BUCKETS
-        )
         #: Sum/count of (realized - predicted) over completed jobs that
         #: had a model prediction; the gauge is the running mean.
         self.regret_sum = 0.0
         self.regret_count = 0
         self.last_regret = 0.0
+        bind_counters(registry, lambda: self, SCHED_COUNTERS)
+        #: Failed operations by reason: ``predict`` (a round's batched
+        #: predict) and ``governor`` (a placement's P-state choice).
+        self.failures = registry.counter(
+            "repro_sched_failures_total",
+            "Failed scheduler operations by reason.",
+            ("reason",),
+        )
+        self.failures.inc(0, reason="predict")
+        registry.gauge(
+            "repro_sched_regret",
+            "Mean realized-minus-predicted slowdown over completed jobs.",
+        ).set_function(lambda: self.mean_regret)
+        registry.gauge(
+            "repro_sched_last_regret",
+            "Realized-minus-predicted slowdown of the most recent completion.",
+        ).set_function(lambda: self.last_regret)
+        #: Wall latency of one scheduling round (includes the batched
+        #: predict round-trip when the model policy is active).
+        self.decision_latency = registry.histogram(
+            "repro_sched_decision_latency_seconds",
+            "Wall latency of one scheduling round.",
+        )
+        self.predicted_degradation = registry.histogram(
+            "repro_sched_predicted_degradation",
+            "Predicted slowdown of committed placements.",
+            buckets=DEGRADATION_BUCKETS,
+        )
+        self.realized_degradation = registry.histogram(
+            "repro_sched_realized_degradation",
+            "Realized slowdown of completed jobs.",
+            buckets=DEGRADATION_BUCKETS,
+        )
 
     def record_completion(
         self, realized: float, predicted: float | None
@@ -145,75 +175,6 @@ class SchedMetrics:
     @property
     def mean_regret(self) -> float:
         return self.regret_sum / self.regret_count if self.regret_count else 0.0
-
-    def render_prometheus(self) -> str:
-        counters = [
-            ("jobs_submitted_total", "Jobs accepted via POST /v1/jobs.",
-             self.jobs_submitted),
-            ("placements_total", "Placement decisions committed.",
-             self.placements),
-            ("migrations_total", "Threshold-triggered job migrations.",
-             self.migrations),
-            ("completions_total", "Jobs run to completion.",
-             self.completions),
-            ("requeued_total", "Jobs explicitly requeued at drain.",
-             self.requeued),
-            ("predict_batches_total",
-             "Batched prediction calls to the serving tier.",
-             self.predict_batches),
-            ("predict_rows_total",
-             "Candidate rows scored by the serving tier.",
-             self.predict_rows),
-        ]
-        lines: list[str] = []
-        for name, help_text, value in counters:
-            full = f"repro_sched_{name}"
-            lines.append(f"# HELP {full} {help_text}")
-            lines.append(f"# TYPE {full} counter")
-            lines.append(f"{full} {value}")
-        lines.append(
-            "# HELP repro_sched_failures_total Failed scheduler operations "
-            "by reason."
-        )
-        lines.append("# TYPE repro_sched_failures_total counter")
-        lines.append(
-            f'repro_sched_failures_total{{reason="predict"}} '
-            f"{self.predict_failures}"
-        )
-        lines.append(
-            "# HELP repro_sched_regret Mean realized-minus-predicted "
-            "slowdown over completed jobs."
-        )
-        lines.append("# TYPE repro_sched_regret gauge")
-        lines.append(f"repro_sched_regret {self.mean_regret}")
-        lines.append(
-            "# HELP repro_sched_last_regret Realized-minus-predicted "
-            "slowdown of the most recent completion."
-        )
-        lines.append("# TYPE repro_sched_last_regret gauge")
-        lines.append(f"repro_sched_last_regret {self.last_regret}")
-        lines.extend(
-            _render_histogram(
-                "repro_sched_decision_latency_seconds",
-                "Wall latency of one scheduling round.",
-                self.decision_latency,
-            )
-        )
-        lines.extend(
-            _render_histogram(
-                "repro_sched_predicted_degradation",
-                "Predicted slowdown of committed placements.",
-                self.predicted_degradation,
-            )
-        )
-        lines.extend(
-            _render_histogram(
-                "repro_sched_realized_degradation",
-                "Realized slowdown of completed jobs.",
-                self.realized_degradation,
-            )
-        )
-        return "\n".join(lines) + "\n"
 
 
 # ------------------------------------------------------------------ scorers
@@ -401,13 +362,21 @@ class SchedulerService(HttpServerBase):
         self._wake = asyncio.Event()
         self._loop_task: asyncio.Task | None = None
 
-        self.sched_metrics = SchedMetrics()
         self.metrics = ServingMetrics(prefix="repro_sched")
-        self.obs_registry = install_default_sources(
-            MetricsRegistry(),
-            serving=self.metrics.render_prometheus,
-            sched=self._render_sched_metrics,
-        )
+        self.obs_registry = obs = install_default_metrics(self.metrics.registry)
+        self.sched_metrics = SchedMetrics(obs)
+        for name, help_text, read in (
+            ("queue_depth", "Jobs waiting for placement.",
+             lambda: self.queue.pending),
+            ("running_jobs", "Jobs currently executing.",
+             lambda: self.running.count),
+            ("fleet_free_cores", "Unoccupied cores across the fleet.",
+             lambda: int(self.fleet.free_cores.sum())),
+            ("fleet_busy_nodes", "Nodes with at least one resident job.",
+             lambda: self.fleet.busy_nodes),
+            ("virtual_time_s", "Scheduler virtual clock.", lambda: self._now),
+        ):
+            obs.gauge(f"repro_sched_{name}", help_text).set_function(read)
 
     # -------------------------------------------------------------- state
 
@@ -449,26 +418,6 @@ class SchedulerService(HttpServerBase):
         }
 
     # ------------------------------------------------------------ metrics
-
-    def _render_sched_metrics(self) -> str:
-        lines = [self.sched_metrics.render_prometheus().rstrip("\n")]
-        gauges = [
-            ("queue_depth", "Jobs waiting for placement.",
-             self.queue.pending),
-            ("running_jobs", "Jobs currently executing.",
-             self.running.count),
-            ("fleet_free_cores", "Unoccupied cores across the fleet.",
-             int(self.fleet.free_cores.sum())),
-            ("fleet_busy_nodes", "Nodes with at least one resident job.",
-             self.fleet.busy_nodes),
-            ("virtual_time_s", "Scheduler virtual clock.", self._now),
-        ]
-        for name, help_text, value in gauges:
-            full = f"repro_sched_{name}"
-            lines.append(f"# HELP {full} {help_text}")
-            lines.append(f"# TYPE {full} gauge")
-            lines.append(f"{full} {value}")
-        return "\n".join(lines) + "\n"
 
     def _record_request(self, endpoint: str, status: int, seconds: float) -> None:
         self.metrics.record_request(endpoint, status, seconds)
@@ -568,7 +517,7 @@ class SchedulerService(HttpServerBase):
                 preds = await asyncio.to_thread(self.scorer.predict_rows, rows)
             except Exception as exc:  # noqa: BLE001 - any tier failure
                 span.set(error=f"{type(exc).__name__}: {exc}")
-                self.sched_metrics.predict_failures += 1
+                self.sched_metrics.failures.inc(reason="predict")
                 return None
         self.sched_metrics.predict_batches += 1
         self.sched_metrics.predict_rows += len(rows)
@@ -678,21 +627,13 @@ class SchedulerService(HttpServerBase):
             self._now,
             stats=self._app_stats(node, job.app),
         )
+        choice = None
         if self.governor_objective is not None:
-            table = self._table(node)
-            choice, _ = await asyncio.to_thread(
-                select_pstate,
-                self.scorer,
-                self._power[int(self.fleet.block_index[node])],
-                table,
-                job.app.name,
-                co_names,
-                objective=self.governor_objective,
-                deadline_s=self.governor_deadline_s,
-            )
+            choice = await self._select_pstate(node, job, co_names)
+        if choice is not None:
             self.fleet.set_pstate(node, choice.pstate.index)
             self.running.mark_dirty(node)
-            base = table.get(
+            base = self._table(node).get(
                 job.app.name, choice.pstate.frequency_ghz
             ).wall_time_s
             predicted_slowdown = choice.predicted_time_s / base
@@ -710,6 +651,28 @@ class SchedulerService(HttpServerBase):
             self.sched_metrics.predicted_degradation.observe(
                 predicted_slowdown
             )
+
+    async def _select_pstate(self, node: int, job: Job, co_names: list[str]):
+        """The governor's P-state choice for one placement; ``None`` (and
+        a counted failure) if the scorer raises, so the node keeps its
+        current P-state and the loop carries on."""
+        with get_tracer().span("sched.governor", app=job.app.name) as span:
+            try:
+                choice, _ = await asyncio.to_thread(
+                    select_pstate,
+                    self.scorer,
+                    self._power[int(self.fleet.block_index[node])],
+                    self._table(node),
+                    job.app.name,
+                    co_names,
+                    objective=self.governor_objective,
+                    deadline_s=self.governor_deadline_s,
+                )
+            except Exception as exc:  # noqa: BLE001 - any scorer failure
+                span.set(error=f"{type(exc).__name__}: {exc}")
+                self.sched_metrics.failures.inc(reason="governor")
+                return None
+        return choice
 
     # ---------------------------------------------------------- migration
 
@@ -801,16 +764,9 @@ class SchedulerService(HttpServerBase):
         path, method = request.path, request.method
         if path == "/healthz":
             self._require(method, "GET")
-            body = {
-                "status": "draining" if self._draining else "ok",
-                "policy": self.policy,
-                "nodes": self.fleet.n_nodes,
-            }
-            return 200, "application/json", json.dumps(body).encode()
+            return self._healthz()
         if path == "/metrics":
-            self._require(method, "GET")
-            text = self.obs_registry.render()
-            return 200, "text/plain; version=0.0.4", text.encode()
+            return self._scrape(request)
         if path == "/v1/cluster":
             self._require(method, "GET")
             return 200, "application/json", json.dumps(
@@ -825,6 +781,23 @@ class SchedulerService(HttpServerBase):
             self._require(method, "GET")
             return self._job_detail(path[len("/v1/jobs/"):])
         raise HTTPError(404, "not_found", f"no route for {path}")
+
+    def _healthz(self):
+        task = self._loop_task
+        if task is not None and task.done() and not task.cancelled():
+            error = task.exception()
+            if error is not None:
+                body = {
+                    "status": "loop_failed",
+                    "error": f"{type(error).__name__}: {error}",
+                }
+                return 503, "application/json", json.dumps(body).encode()
+        body = {
+            "status": "draining" if self._draining else "ok",
+            "policy": self.policy,
+            "nodes": self.fleet.n_nodes,
+        }
+        return 200, "application/json", json.dumps(body).encode()
 
     def _cluster_body(self) -> dict:
         m = self.sched_metrics

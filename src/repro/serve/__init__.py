@@ -16,7 +16,7 @@ store it serves from lives in :mod:`repro.registry`):
   serves from any registry backend (local directory or remote registry
   service) and can hot-reload newly pushed versions;
 * :mod:`~repro.serve.metrics` — request/error counters and latency and
-  batch-size histograms in Prometheus text exposition format;
+  batch-size histograms, declared on the server's metrics registry;
 * :mod:`~repro.serve.client` — a small blocking client for tests and
   load generators, with a label-aware Prometheus parser;
 * :mod:`~repro.serve.shard`, :mod:`~repro.serve.worker`, and
@@ -45,7 +45,7 @@ from ..registry.local import (
 )
 from .batcher import BacklogFullError, BatcherStats, MicroBatcher
 from .client import ClientError, PredictionClient, parse_prometheus
-from .metrics import LatencyHistogram, ServingMetrics, merge_prometheus_texts
+from .metrics import ServingMetrics
 from .router import (
     CanarySpec,
     RouterServer,
@@ -64,7 +64,6 @@ __all__ = [
     "BatcherStats",
     "CanarySpec",
     "ClientError",
-    "LatencyHistogram",
     "MicroBatcher",
     "ModelManifest",
     "ModelRegistry",
@@ -80,7 +79,6 @@ __all__ = [
     "TombstoneError",
     "WorkerProcess",
     "backend_spec_for",
-    "merge_prometheus_texts",
     "parse_canary",
     "parse_prometheus",
     "parse_shadow",

@@ -90,6 +90,9 @@ class Request:
     query: dict[str, list[str]]
     headers: dict[str, str]
     body: bytes
+    #: Why the request could not be framed (a bad ``Content-Length``);
+    #: such a request is answered 400 without being routed.
+    framing_error: str | None = None
 
 
 def header_safe(value: str, max_len: int = 128) -> str:
@@ -112,6 +115,10 @@ class HttpServerBase:
     #: off: tracing its own ingest requests while the host process
     #: streams spans to it would feed the collector forever.
     trace_requests = True
+
+    #: The service's :class:`~repro.obs.registry.MetricsRegistry`, set by
+    #: subclasses and served by :meth:`_scrape`.
+    obs_registry = None
 
     def __init__(self, *, host: str = "127.0.0.1", port: int = 0) -> None:
         self.host = host
@@ -266,17 +273,27 @@ class HttpServerBase:
                 continue
             key, _sep, value = line.partition(":")
             headers[key.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        if length > _MAX_BODY_BYTES:
-            raise asyncio.LimitOverrunError("body too large", 0)
-        body = await reader.readexactly(length) if length else b""
-        return Request(
+        request = Request(
             method=method.upper(),
             path=split.path,
             query=parse_qs(split.query) if split.query else {},
             headers=headers,
-            body=body,
+            body=b"",
         )
+        length_text = headers.get("content-length", "0") or "0"
+        if not length_text.isdecimal():
+            # The body's extent is unknown: answer 400 without reading
+            # it, and close the connection after the response.
+            request.framing_error = (
+                f"Content-Length must be a non-negative integer; "
+                f"got {length_text!r}"
+            )
+            return request
+        length = int(length_text)
+        if length > _MAX_BODY_BYTES:
+            raise asyncio.LimitOverrunError("body too large", 0)
+        request.body = await reader.readexactly(length) if length else b""
+        return request
 
     async def _dispatch(
         self, request: Request, writer: asyncio.StreamWriter
@@ -320,6 +337,8 @@ class HttpServerBase:
         with span_cm as span:
             extra_headers: dict[str, str] = {}
             try:
+                if request.framing_error is not None:
+                    raise HTTPError(400, "bad_request", request.framing_error)
                 routed = await self._route(request)
                 if len(routed) == 4:
                     status, content_type, payload, extra_headers = routed
@@ -343,6 +362,7 @@ class HttpServerBase:
         keep_alive = (
             request.headers.get("connection", "keep-alive").lower() != "close"
             and not self._closing
+            and request.framing_error is None
         )
         header_lines = [
             f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}",
@@ -362,6 +382,20 @@ class HttpServerBase:
         writer.write(head.encode("latin-1") + payload)
         await writer.drain()
         return keep_alive
+
+    def _scrape(self, request: Request):
+        """``GET /metrics`` from the service's ``obs_registry``.
+
+        Plain requests get the Prometheus text exposition; a caller that
+        asks for ``application/json`` (the serving tier's router) gets the
+        registry's family snapshots to merge.
+        """
+        self._require(request.method, "GET")
+        if "application/json" in request.headers.get("accept", ""):
+            snapshot = json.dumps(self.obs_registry.collect())
+            return 200, "application/json", snapshot.encode()
+        text = self.obs_registry.render()
+        return 200, "text/plain; version=0.0.4", text.encode()
 
     @staticmethod
     def _require(method: str, expected: str) -> None:

@@ -1,315 +1,149 @@
 """Request-path observability for the prediction service.
 
-Mirrors the :class:`~repro.sim.solve_cache.EngineStats` pattern — a plain
-mutable record with ``record_*`` methods, ``merge``/``reset``, and a
-human-readable ``summary()`` — extended with the serving-specific parts:
+:class:`ServingMetrics` declares a server's request-path families —
 per-endpoint/status request counters, error counters, batch-size and
-latency histograms with p50/p95/p99, and the model-cache hit rate.
-
-:meth:`ServingMetrics.render_prometheus` renders everything in the
-Prometheus text exposition format (version 0.0.4), so ``GET /metrics``
-can be scraped by a stock Prometheus server; no client library is needed
-for the text format.
+latency histograms with p50/p95/p99 gauges, and the model-cache
+counters — as typed instruments on the server's
+:class:`~repro.obs.registry.MetricsRegistry`, and keeps the
+:class:`~repro.sim.solve_cache.EngineStats`-style surface on top:
+``record_*`` methods, ``merge``/``reset``, read-only counts and a
+human-readable ``summary()``.  ``GET /metrics`` renders the registry.
 """
 
 from __future__ import annotations
 
-import math
-import re
-from dataclasses import dataclass, field
+from ..obs.registry import MetricsRegistry
 
-from ..obs.registry import escape_label_value
-
-__all__ = [
-    "LatencyHistogram",
-    "ServingMetrics",
-    "merge_prometheus_texts",
-    "render_labels",
-]
+__all__ = ["ServingMetrics"]
 
 #: Request phases recorded by the server, in pipeline order.
 REQUEST_PHASES = ("queue", "batch_wait", "predict", "serialize")
 
-#: Bucket upper bounds (seconds) for the latency histogram exposition.
-LATENCY_BUCKETS_S = (
-    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
-    0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5,
-)
-
 #: Bucket upper bounds (requests) for the batch-size histogram.
 BATCH_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128)
 
-
-@dataclass
-class LatencyHistogram:
-    """Streaming histogram with exact percentiles over retained samples.
-
-    Counters (``count``/``total``/bucket counts) are exact for the full
-    stream; percentile queries sort the retained sample window (the most
-    recent ``max_samples``), which covers any bounded serving test or
-    bench run while capping memory for long-lived servers.
-    """
-
-    buckets: tuple[float, ...] = LATENCY_BUCKETS_S
-    max_samples: int = 100_000
-    count: int = 0
-    total: float = 0.0
-    bucket_counts: list[int] = field(default_factory=list)
-    _samples: list[float] = field(default_factory=list)
-    _next_slot: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.bucket_counts:
-            self.bucket_counts = [0] * (len(self.buckets) + 1)
-
-    def observe(self, value: float) -> None:
-        """Record one observation (seconds, batch size, ...)."""
-        value = float(value)
-        self.count += 1
-        self.total += value
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.bucket_counts[i] += 1
-                break
-        else:
-            self.bucket_counts[-1] += 1
-        if len(self._samples) < self.max_samples:
-            self._samples.append(value)
-        else:  # ring buffer: keep the most recent window
-            self._samples[self._next_slot] = value
-            self._next_slot = (self._next_slot + 1) % self.max_samples
-
-    @property
-    def mean(self) -> float:
-        """Arithmetic mean of the full stream (0.0 when empty)."""
-        return self.total / self.count if self.count else 0.0
-
-    def percentile(self, p: float) -> float:
-        """Nearest-rank percentile over the retained window.
-
-        ``p`` in [0, 100]; returns ``nan`` when nothing was observed.
-        """
-        if not 0.0 <= p <= 100.0:
-            raise ValueError("percentile must be in [0, 100]")
-        if not self._samples:
-            return math.nan
-        ordered = sorted(self._samples)
-        rank = max(1, math.ceil(p / 100.0 * len(ordered)))
-        return ordered[rank - 1]
-
-    def merge(self, other: "LatencyHistogram") -> None:
-        """Fold another histogram (with identical buckets) into this one."""
-        if other.buckets != self.buckets:
-            raise ValueError("cannot merge histograms with different buckets")
-        self.count += other.count
-        self.total += other.total
-        for i, n in enumerate(other.bucket_counts):
-            self.bucket_counts[i] += n
-        for v in other._samples:
-            if len(self._samples) < self.max_samples:
-                self._samples.append(v)
-            else:
-                self._samples[self._next_slot] = v
-                self._next_slot = (self._next_slot + 1) % self.max_samples
-
-    def reset(self) -> None:
-        """Zero every counter and drop retained samples."""
-        self.count = 0
-        self.total = 0.0
-        self.bucket_counts = [0] * (len(self.buckets) + 1)
-        self._samples = []
-        self._next_slot = 0
-
-
-def _fmt(value: float) -> str:
-    """Prometheus-friendly float formatting (no exponent surprises)."""
-    if value != value:  # NaN
-        return "NaN"
-    return repr(float(value))
-
-
-def _labels(**labels: str) -> str:
-    if not labels:
-        return ""
-    body = ",".join(
-        f'{k}="{escape_label_value(str(v))}"' for k, v in sorted(labels.items())
-    )
-    return "{" + body + "}"
-
-
-#: Public alias: other serving modules (the router) render label sets
-#: with the same canonical sorted-key form the core families use.
-render_labels = _labels
-
-#: Series whose bare name matches this are point-in-time percentile
-#: gauges; merging across workers takes the max (worst worker), because
-#: summing percentiles is meaningless.
-_PERCENTILE_NAME = re.compile(r"_p\d+$")
-
-
-def _merge_family_of(bare_name: str, known: set[str]) -> str:
-    """The metric family a sample line belongs to.
-
-    Histogram samples (``X_bucket``/``X_sum``/``X_count``) roll up to
-    ``X`` when ``X`` declared itself via ``# TYPE``; everything else is
-    its own family.
-    """
-    for suffix in ("_bucket", "_sum", "_count"):
-        if bare_name.endswith(suffix) and bare_name[: -len(suffix)] in known:
-            return bare_name[: -len(suffix)]
-    return bare_name
-
-
-def merge_prometheus_texts(texts: list[str]) -> str:
-    """Merge several Prometheus text expositions into one.
-
-    The router uses this to answer ``GET /metrics`` for the whole tier:
-    one scrape of the router returns its own exposition merged with a
-    fresh scrape of every worker.  Merge rules:
-
-    * counters, histogram ``_bucket``/``_sum``/``_count`` samples, and
-      plain gauges **sum** across texts (identical series keys combine;
-      series distinguished by labels — e.g. ``worker="0"`` — stay
-      distinct lines);
-    * percentile gauges (bare name matching ``_p\\d+$``) take the
-      **max** — the worst worker's tail — skipping ``NaN`` from workers
-      that saw no samples;
-    * ``# HELP``/``# TYPE`` metadata and family ordering follow the
-      first text that mentioned each family, and every family's samples
-      stay grouped under its metadata as the exposition format requires.
-    """
-    meta: dict[str, list[str]] = {}        # family -> HELP/TYPE lines
-    family_order: list[str] = []
-    family_keys: dict[str, list[str]] = {}  # family -> series keys, ordered
-    values: dict[str, float] = {}
-    int_valued: dict[str, bool] = {}
-
-    for text in texts:
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line.split(None, 3)
-                if len(parts) >= 3 and parts[1] in ("HELP", "TYPE"):
-                    family = parts[2]
-                    if family not in meta:
-                        meta[family] = []
-                        family_order.append(family)
-                        family_keys.setdefault(family, [])
-                    if not any(
-                        existing.split(None, 3)[1] == parts[1]
-                        for existing in meta[family]
-                    ):
-                        meta[family].append(line)
-                continue
-            key, _sep, value_text = line.rpartition(" ")
-            if not _sep:
-                continue
-            try:
-                value = float(value_text)
-            except ValueError:
-                continue
-            bare = key.partition("{")[0]
-            family = _merge_family_of(bare, set(meta))
-            if family not in family_keys:
-                family_order.append(family)
-                family_keys[family] = []
-            if key not in values:
-                family_keys[family].append(key)
-                values[key] = value
-                int_valued[key] = "." not in value_text and value_text.isdigit()
-            elif _PERCENTILE_NAME.search(bare):
-                prior = values[key]
-                if math.isnan(prior) or (
-                    not math.isnan(value) and value > prior
-                ):
-                    values[key] = value
-                int_valued[key] = False
-            else:
-                values[key] = values[key] + value
-                int_valued[key] = int_valued[key] and (
-                    "." not in value_text and value_text.isdigit()
-                )
-
-    lines: list[str] = []
-    for family in family_order:
-        lines.extend(meta.get(family, []))
-        for key in family_keys.get(family, []):
-            value = values[key]
-            if int_valued[key]:
-                lines.append(f"{key} {int(value)}")
-            else:
-                lines.append(f"{key} {_fmt(value)}")
-    return "\n".join(lines) + "\n"
+#: Percentile gauges every request-path histogram exports.
+QUANTILES = (50, 95, 99)
 
 
 class ServingMetrics:
     """All request-path counters and histograms for one server.
 
-    Single-threaded by design: the server mutates it only from its event
-    loop, so no locking is needed.  The blocking client may *read* a
-    rendered snapshot at any time via ``GET /metrics``.
+    Mutated only from the server's event loop; ``GET /metrics`` renders
+    ``registry``, the server's own registry the instruments live on.
 
-    ``prefix`` names the exported metric family: the prediction server
-    keeps the default ``repro_serve``, the registry artifact server uses
-    ``repro_registry`` — same schema, distinct namespaces, so one scraper
-    configuration covers both services.
+    ``prefix`` names the exported families: the prediction server keeps
+    the default ``repro_serve``, the registry artifact server uses
+    ``repro_registry``, the router ``repro_router`` — same schema,
+    distinct namespaces, so one scraper configuration covers them all.
     """
 
     def __init__(self, *, prefix: str = "repro_serve") -> None:
-        self.prefix = prefix
-        #: (endpoint, status code) -> served request count.
-        self.requests_total: dict[tuple[str, int], int] = {}
-        #: error reason -> count (bad_request, unknown_model, internal, ...).
-        self.errors_total: dict[str, int] = {}
-        #: predictions returned (a batch body counts each instance).
-        self.predictions_total = 0
-        #: resident-model cache hits / misses on /v1/predict.
-        self.model_cache_hits = 0
-        self.model_cache_misses = 0
-        #: end-to-end request handling latency, seconds.
-        self.latency = LatencyHistogram()
-        #: rows per flushed micro-batch.
-        self.batch_sizes = LatencyHistogram(buckets=tuple(float(b) for b in BATCH_BUCKETS))
-        #: request phase -> time spent in that phase, seconds (see
+        self.prefix = p = prefix
+        self.registry = r = MetricsRegistry()
+        self.requests = r.counter(
+            f"{p}_requests_total", "HTTP requests handled.", ("endpoint", "status")
+        )
+        self.errors = r.counter(
+            f"{p}_errors_total", "Failed requests by reason.", ("reason",)
+        )
+        self.predictions = r.counter(
+            f"{p}_predictions_total", "Prediction values returned."
+        )
+        self.cache_hits = r.counter(
+            f"{p}_model_cache_hits_total", "Resident-model cache hits."
+        )
+        self.cache_misses = r.counter(
+            f"{p}_model_cache_misses_total", "Resident-model cache misses."
+        )
+        #: End-to-end request handling latency, seconds.
+        self.latency = r.histogram(
+            f"{p}_request_latency_seconds",
+            "End-to-end request handling latency.",
+            quantiles=QUANTILES,
+        )
+        #: Rows per flushed micro-batch.
+        self.batch_sizes = r.histogram(
+            f"{p}_batch_size",
+            "Rows per flushed micro-batch.",
+            buckets=BATCH_BUCKETS,
+            quantiles=QUANTILES,
+        )
+        #: Time spent per request phase, seconds, labelled ``phase`` (see
         #: :data:`REQUEST_PHASES` for the pipeline order).
-        self.phase_latency: dict[str, LatencyHistogram] = {}
+        self.phase_latency = r.histogram(
+            f"{p}_phase_latency_seconds",
+            "Time each request spent per pipeline phase "
+            "(queue, batch_wait, predict, serialize).",
+            ("phase",),
+            quantiles=QUANTILES,
+            quantile_help="Phase latency percentile (over the retained "
+            "sample window).",
+        )
+        self._instruments = (
+            self.requests,
+            self.errors,
+            self.predictions,
+            self.cache_hits,
+            self.cache_misses,
+            self.latency,
+            self.batch_sizes,
+            self.phase_latency,
+        )
 
     # ------------------------------------------------------------ record
     def record_request(self, endpoint: str, status: int, seconds: float) -> None:
         """Count one handled HTTP request and its wall latency."""
-        key = (endpoint, int(status))
-        self.requests_total[key] = self.requests_total.get(key, 0) + 1
+        self.requests.inc(endpoint=endpoint, status=status)
         self.latency.observe(seconds)
 
     def record_error(self, reason: str) -> None:
         """Count one failed request by reason."""
-        self.errors_total[reason] = self.errors_total.get(reason, 0) + 1
+        self.errors.inc(reason=reason)
 
     def record_predictions(self, n: int) -> None:
         """Count ``n`` prediction values returned to clients."""
-        self.predictions_total += int(n)
+        self.predictions.inc(int(n))
 
     def record_batch(self, size: int) -> None:
         """Count one flushed micro-batch of ``size`` rows."""
-        self.batch_sizes.observe(float(size))
+        self.batch_sizes.observe(size)
 
     def record_phase(self, phase: str, seconds: float) -> None:
         """Record time one request spent in one pipeline phase."""
-        hist = self.phase_latency.get(phase)
-        if hist is None:
-            hist = self.phase_latency[phase] = LatencyHistogram()
-        hist.observe(seconds)
+        self.phase_latency.observe(seconds, phase=phase)
 
     def record_model_cache(self, hit: bool) -> None:
         """Count one resident-model cache lookup."""
-        if hit:
-            self.model_cache_hits += 1
-        else:
-            self.model_cache_misses += 1
+        (self.cache_hits if hit else self.cache_misses).inc()
 
     # ------------------------------------------------------- derived
+    @property
+    def requests_total(self) -> dict[tuple[str, int], int]:
+        """(endpoint, status code) -> served request count."""
+        return {
+            (endpoint, int(status)): int(n)
+            for (endpoint, status), n in self.requests.samples().items()
+        }
+
+    @property
+    def errors_total(self) -> dict[str, int]:
+        """Error reason -> count (bad_request, unknown_model, ...)."""
+        return {reason: int(n) for (reason,), n in self.errors.samples().items()}
+
+    @property
+    def predictions_total(self) -> int:
+        """Predictions returned (a batch body counts each instance)."""
+        return int(self.predictions.value())
+
+    @property
+    def model_cache_hits(self) -> int:
+        return int(self.cache_hits.value())
+
+    @property
+    def model_cache_misses(self) -> int:
+        return int(self.cache_misses.value())
+
     @property
     def request_count(self) -> int:
         """Total HTTP requests across endpoints and statuses."""
@@ -323,150 +157,13 @@ class ServingMetrics:
 
     def merge(self, other: "ServingMetrics") -> None:
         """Fold another record (e.g. a drained worker's) into this one."""
-        for key, n in other.requests_total.items():
-            self.requests_total[key] = self.requests_total.get(key, 0) + n
-        for key, n in other.errors_total.items():
-            self.errors_total[key] = self.errors_total.get(key, 0) + n
-        self.predictions_total += other.predictions_total
-        self.model_cache_hits += other.model_cache_hits
-        self.model_cache_misses += other.model_cache_misses
-        self.latency.merge(other.latency)
-        self.batch_sizes.merge(other.batch_sizes)
-        for phase, hist in other.phase_latency.items():
-            mine = self.phase_latency.get(phase)
-            if mine is None:
-                mine = self.phase_latency[phase] = LatencyHistogram()
-            mine.merge(hist)
+        for mine, theirs in zip(self._instruments, other._instruments):
+            mine.merge(theirs)
 
     def reset(self) -> None:
         """Zero every counter and histogram."""
-        self.requests_total = {}
-        self.errors_total = {}
-        self.predictions_total = 0
-        self.model_cache_hits = 0
-        self.model_cache_misses = 0
-        self.latency.reset()
-        self.batch_sizes.reset()
-        self.phase_latency = {}
-
-    # ------------------------------------------------------ rendering
-    def render_prometheus(self) -> str:
-        """The Prometheus text exposition for ``GET /metrics``."""
-        p = self.prefix
-        lines: list[str] = []
-
-        lines.append(f"# HELP {p}_requests_total HTTP requests handled.")
-        lines.append(f"# TYPE {p}_requests_total counter")
-        for (endpoint, status), n in sorted(self.requests_total.items()):
-            lines.append(
-                f"{p}_requests_total"
-                f"{_labels(endpoint=endpoint, status=str(status))} {n}"
-            )
-
-        lines.append(f"# HELP {p}_errors_total Failed requests by reason.")
-        lines.append(f"# TYPE {p}_errors_total counter")
-        for reason, n in sorted(self.errors_total.items()):
-            lines.append(f"{p}_errors_total{_labels(reason=reason)} {n}")
-
-        lines.append(
-            f"# HELP {p}_predictions_total Prediction values returned."
-        )
-        lines.append(f"# TYPE {p}_predictions_total counter")
-        lines.append(f"{p}_predictions_total {self.predictions_total}")
-
-        lines.append(
-            f"# HELP {p}_model_cache_hits_total Resident-model cache hits."
-        )
-        lines.append(f"# TYPE {p}_model_cache_hits_total counter")
-        lines.append(f"{p}_model_cache_hits_total {self.model_cache_hits}")
-        lines.append(
-            f"# HELP {p}_model_cache_misses_total Resident-model cache misses."
-        )
-        lines.append(f"# TYPE {p}_model_cache_misses_total counter")
-        lines.append(
-            f"{p}_model_cache_misses_total {self.model_cache_misses}"
-        )
-
-        lines.extend(
-            self._render_histogram(
-                f"{p}_request_latency_seconds",
-                "End-to-end request handling latency.",
-                self.latency,
-            )
-        )
-        lines.extend(
-            self._render_histogram(
-                f"{p}_batch_size",
-                "Rows per flushed micro-batch.",
-                self.batch_sizes,
-            )
-        )
-        lines.extend(self._render_phases())
-        return "\n".join(lines) + "\n"
-
-    def _render_phases(self) -> list[str]:
-        """The per-phase latency family (one histogram per phase label)."""
-        name = f"{self.prefix}_phase_latency_seconds"
-        lines = [
-            f"# HELP {name} Time each request spent per pipeline phase "
-            "(queue, batch_wait, predict, serialize).",
-            f"# TYPE {name} histogram",
-        ]
-        phases = sorted(self.phase_latency)
-        for phase in phases:
-            lines.extend(
-                self._histogram_samples(
-                    name, self.phase_latency[phase], phase=phase
-                )
-            )
-        for p, label in ((50, "p50"), (95, "p95"), (99, "p99")):
-            lines.append(
-                f"# HELP {name}_{label} Phase latency percentile "
-                f"(over the retained sample window)."
-            )
-            lines.append(f"# TYPE {name}_{label} gauge")
-            for phase in phases:
-                value = self.phase_latency[phase].percentile(p)
-                lines.append(f"{name}_{label}{_labels(phase=phase)} {_fmt(value)}")
-        return lines
-
-    @classmethod
-    def _render_histogram(
-        cls, name: str, help_text: str, hist: LatencyHistogram
-    ) -> list[str]:
-        lines = [
-            f"# HELP {name} {help_text}",
-            f"# TYPE {name} histogram",
-        ]
-        lines.extend(cls._histogram_samples(name, hist))
-        # Quantile gauges (summary-style convenience for dashboards/tests).
-        for p, label in ((50, "p50"), (95, "p95"), (99, "p99")):
-            lines.append(
-                f"# HELP {name}_{label} Percentile of {name} "
-                f"(over the retained sample window)."
-            )
-            lines.append(f"# TYPE {name}_{label} gauge")
-            lines.append(
-                f"{name}_{label} {_fmt(hist.percentile(p))}"
-            )
-        return lines
-
-    @staticmethod
-    def _histogram_samples(
-        name: str, hist: LatencyHistogram, **labels: str
-    ) -> list[str]:
-        """Bucket/sum/count sample lines for one (possibly labelled) series."""
-        lines = []
-        cumulative = 0
-        for bound, n in zip(hist.buckets, hist.bucket_counts):
-            cumulative += n
-            lines.append(
-                f"{name}_bucket{_labels(le=_fmt(bound), **labels)} {cumulative}"
-            )
-        lines.append(f'{name}_bucket{_labels(le="+Inf", **labels)} {hist.count}')
-        lines.append(f"{name}_sum{_labels(**labels)} {_fmt(hist.total)}")
-        lines.append(f"{name}_count{_labels(**labels)} {hist.count}")
-        return lines
+        for instrument in self._instruments:
+            instrument.reset()
 
     def summary(self) -> str:
         """Human-readable one-stop summary (EngineStats style)."""
@@ -476,17 +173,17 @@ class ServingMetrics:
             f"{self.predictions_total} predictions, {errors} errors, "
             f"{100.0 * self.model_cache_hit_rate:.1f}% model cache hit rate"
         ]
-        if self.latency.count:
+        if self.latency.count():
             lines.append(
                 "request latency: "
                 f"p50 {1e3 * self.latency.percentile(50):.3f} ms | "
                 f"p95 {1e3 * self.latency.percentile(95):.3f} ms | "
                 f"p99 {1e3 * self.latency.percentile(99):.3f} ms"
             )
-        if self.batch_sizes.count:
+        if self.batch_sizes.count():
             lines.append(
-                f"micro-batches: {self.batch_sizes.count} flushed, "
-                f"mean size {self.batch_sizes.mean:.2f}, "
+                f"micro-batches: {self.batch_sizes.count()} flushed, "
+                f"mean size {self.batch_sizes.mean():.2f}, "
                 f"max bucket p99 {self.batch_sizes.percentile(99):.0f}"
             )
         return "\n".join(lines)

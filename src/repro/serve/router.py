@@ -29,15 +29,16 @@ Routing features beyond the shard map:
 * **Shadow traffic.**  ``shadow=("band@2",)`` mirrors every ``band``
   request to ``band@2`` on the same worker, diffs the predictions, and
   exports the divergence as the ``repro_serve_shadow_divergence``
-  histogram (bucket ``le="0.0"`` counts bit-identical agreement).  The
+  histogram (bucket ``le="0"`` counts bit-identical agreement).  The
   client always receives the primary response, byte for byte.
 
-``GET /metrics`` on the router scrapes every worker and merges the
-expositions (:func:`~repro.serve.metrics.merge_prometheus_texts`) with
-the router's own, so one scrape aggregates the whole tier.  Request IDs
-are stitched across the hop: the router forwards its effective
-``X-Request-Id`` to the worker, so the router's ``route.request`` span
-and the worker's ``serve.request`` span share one correlation id.
+``GET /metrics`` on the router asks every worker for its registry's
+family snapshots, folds them into the router's own
+(:func:`~repro.obs.registry.merge`) and renders once, so one scrape
+aggregates the whole tier.  Request IDs are stitched across the hop: the
+router forwards its effective ``X-Request-Id`` to the worker, so the
+router's ``route.request`` span and the worker's ``serve.request`` span
+share one correlation id.
 
 :class:`ServingTier` is the synchronous orchestrator (spawn workers,
 run the router on a background loop, drain everything on ``stop()``)
@@ -52,17 +53,12 @@ import time
 from dataclasses import dataclass
 from urllib.parse import urlencode
 
-from ..obs.adapters import install_default_sources
-from ..obs.registry import MetricsRegistry
+from ..obs.adapters import install_default_metrics
+from ..obs.registry import merge, render
 from ..obs.trace import current_span
 from ..registry.local import RegistryError, parse_ref
 from .http import HTTPError, HttpServerBase, Request, ServerThreadBase
-from .metrics import (
-    LatencyHistogram,
-    ServingMetrics,
-    merge_prometheus_texts,
-    render_labels,
-)
+from .metrics import ServingMetrics
 from .shard import ShardMap
 from .worker import BackendSpec, WorkerProcess, backend_spec_for, open_backend
 
@@ -325,18 +321,46 @@ class RouterServer(HttpServerBase):
         self.metrics = metrics if metrics is not None else ServingMetrics(
             prefix="repro_router"
         )
-        self.obs_registry = install_default_sources(
-            MetricsRegistry(), serving=self.metrics.render_prometheus
+        self.obs_registry = obs = install_default_metrics(self.metrics.registry)
+        obs.gauge(
+            "repro_serve_workers", "Worker processes behind this router."
+        ).set(len(self.channels))
+        self._canary_sent = obs.counter(
+            "repro_serve_canary_requests_total",
+            "Requests routed to a canary version instead of the latest.",
+            ("model", "ref"),
         )
-        self.obs_registry.register_source("router", self._render_router_metrics)
+        self._shadow_sent = obs.counter(
+            "repro_serve_shadow_requests_total",
+            "Requests mirrored to a shadow version.",
+            ("model", "ref"),
+        )
+        self._shadow_errors = obs.counter(
+            "repro_serve_shadow_errors_total",
+            "Shadow requests that failed (primary responses were unaffected).",
+            ("model",),
+        )
+        self._shadow_divergence = obs.histogram(
+            "repro_serve_shadow_divergence",
+            'Absolute difference between primary and shadow predictions '
+            '(le="0" counts bit-identical agreement).',
+            ("model",),
+            buckets=SHADOW_DIVERGENCE_BUCKETS,
+        )
+        for name, spec in self.canaries.items():
+            self._canary_sent.inc(0, model=name, ref=spec.ref)
+        for name, spec in self.shadows.items():
+            self._shadow_sent.inc(0, model=name, ref=spec.ref)
+            self._shadow_errors.inc(0, model=name)
+        self._scrape_errors = obs.gauge(
+            "repro_serve_worker_scrape_errors",
+            "Workers whose /metrics scrape failed this pass.",
+            visible=lambda: self._scrape_errors.value() > 0,
+        )
         from ..registry.local import ModelRegistry
 
         self._offload_backend = not isinstance(backend, ModelRegistry)
         self._canary_acc: dict[str, float] = {}
-        self._canary_sent: dict[str, int] = {}
-        self._shadow_sent: dict[str, int] = {}
-        self._shadow_errors: dict[str, int] = {}
-        self._shadow_divergence: dict[str, LatencyHistogram] = {}
         self._machine_cache: dict[str, tuple[float, str]] = {}
         self._baseline_cache: dict[str, tuple[float, str]] = {}
 
@@ -346,59 +370,6 @@ class RouterServer(HttpServerBase):
 
     def _record_error(self, reason: str) -> None:
         self.metrics.record_error(reason)
-
-    def _render_router_metrics(self) -> str:
-        """Tier shape, canary routing, and shadow divergence families."""
-        lines = [
-            "# HELP repro_serve_workers Worker processes behind this router.",
-            "# TYPE repro_serve_workers gauge",
-            f"repro_serve_workers {len(self.channels)}",
-            "# HELP repro_serve_canary_requests_total Requests routed to a "
-            "canary version instead of the latest.",
-            "# TYPE repro_serve_canary_requests_total counter",
-        ]
-        for name, spec in sorted(self.canaries.items()):
-            lines.append(
-                "repro_serve_canary_requests_total"
-                f"{render_labels(model=name, ref=spec.ref)} "
-                f"{self._canary_sent.get(name, 0)}"
-            )
-        lines.append(
-            "# HELP repro_serve_shadow_requests_total Requests mirrored to "
-            "a shadow version."
-        )
-        lines.append("# TYPE repro_serve_shadow_requests_total counter")
-        for name, spec in sorted(self.shadows.items()):
-            lines.append(
-                "repro_serve_shadow_requests_total"
-                f"{render_labels(model=name, ref=spec.ref)} "
-                f"{self._shadow_sent.get(name, 0)}"
-            )
-        lines.append(
-            "# HELP repro_serve_shadow_errors_total Shadow requests that "
-            "failed (primary responses were unaffected)."
-        )
-        lines.append("# TYPE repro_serve_shadow_errors_total counter")
-        for name in sorted(self.shadows):
-            lines.append(
-                "repro_serve_shadow_errors_total"
-                f"{render_labels(model=name)} "
-                f"{self._shadow_errors.get(name, 0)}"
-            )
-        lines.append(
-            "# HELP repro_serve_shadow_divergence Absolute difference "
-            "between primary and shadow predictions (le=\"0.0\" counts "
-            "bit-identical agreement)."
-        )
-        lines.append("# TYPE repro_serve_shadow_divergence histogram")
-        for name in sorted(self._shadow_divergence):
-            hist = self._shadow_divergence[name]
-            lines.extend(
-                ServingMetrics._histogram_samples(
-                    "repro_serve_shadow_divergence", hist, model=name
-                )
-            )
-        return "\n".join(lines)
 
     # ------------------------------------------------------------ lifecycle
     async def stop(self, *, drain_timeout_s: float = 5.0) -> None:
@@ -453,34 +424,27 @@ class RouterServer(HttpServerBase):
         return 200, "application/json", json.dumps(body).encode()
 
     async def _merged_metrics(self):
-        """One scrape: the router's exposition + every worker's, merged."""
+        """One scrape: the router's families + every worker's, merged."""
         scrapes = await asyncio.gather(
             *(
-                channel.request("GET", "/metrics")
+                channel.request(
+                    "GET", "/metrics", headers={"Accept": "application/json"}
+                )
                 for channel in self.channels
             ),
             return_exceptions=True,
         )
-        texts = [self.obs_registry.render()]
-        unreachable = 0
+        workers = []
         for scraped in scrapes:
-            if isinstance(scraped, BaseException):
-                unreachable += 1
+            if isinstance(scraped, BaseException) or scraped[0] != 200:
                 continue
-            status, _ctype, payload, _headers = scraped
-            if status == 200:
-                texts.append(payload.decode())
-            else:
-                unreachable += 1
-        merged = merge_prometheus_texts(texts)
-        if unreachable:
-            merged += (
-                "# HELP repro_serve_worker_scrape_errors Workers whose "
-                "/metrics scrape failed this pass.\n"
-                "# TYPE repro_serve_worker_scrape_errors gauge\n"
-                f"repro_serve_worker_scrape_errors {unreachable}\n"
-            )
-        return 200, "text/plain; version=0.0.4", merged.encode()
+            try:
+                workers.append(json.loads(scraped[2].decode()))
+            except (ValueError, UnicodeDecodeError):
+                continue
+        self._scrape_errors.set(len(scrapes) - len(workers))
+        families = merge([self.obs_registry.collect(), *workers])
+        return 200, "text/plain; version=0.0.4", render(families).encode()
 
     # ------------------------------------------------------------- predict
     async def _predict(self, request: Request):
@@ -510,7 +474,7 @@ class RouterServer(HttpServerBase):
         if canary is not None and version is None:
             if self._take_canary(name, canary.fraction):
                 routed_ref = canary.ref
-                self._canary_sent[name] = self._canary_sent.get(name, 0) + 1
+                self._canary_sent.inc(model=name, ref=canary.ref)
             else:
                 routed_ref = await self._canary_baseline(name, canary)
         payload = request.body
@@ -538,7 +502,7 @@ class RouterServer(HttpServerBase):
             )
             if isinstance(primary, BaseException):
                 raise primary
-            self._shadow_sent[name] = self._shadow_sent.get(name, 0) + 1
+            self._shadow_sent.inc(model=name, ref=shadow.ref)
             self._record_shadow(name, primary, mirrored)
             response = primary
         else:
@@ -611,30 +575,25 @@ class RouterServer(HttpServerBase):
     # ------------------------------------------------------------- shadow
     def _record_shadow(self, name: str, primary, mirrored) -> None:
         if isinstance(mirrored, BaseException):
-            self._shadow_errors[name] = self._shadow_errors.get(name, 0) + 1
+            self._shadow_errors.inc(model=name)
             return
         primary_status, _pc, primary_body, _ph = primary
         shadow_status, _sc, shadow_body, _sh = mirrored
         if primary_status != 200 or shadow_status != 200:
             if shadow_status != 200:
-                self._shadow_errors[name] = (
-                    self._shadow_errors.get(name, 0) + 1
-                )
+                self._shadow_errors.inc(model=name)
             return
         primary_values = self._predictions(primary_body)
         shadow_values = self._predictions(shadow_body)
         if primary_values is None or shadow_values is None or (
             len(primary_values) != len(shadow_values)
         ):
-            self._shadow_errors[name] = self._shadow_errors.get(name, 0) + 1
+            self._shadow_errors.inc(model=name)
             return
-        hist = self._shadow_divergence.get(name)
-        if hist is None:
-            hist = self._shadow_divergence[name] = LatencyHistogram(
-                buckets=SHADOW_DIVERGENCE_BUCKETS
-            )
         for expected, mirrored_value in zip(primary_values, shadow_values):
-            hist.observe(abs(expected - mirrored_value))
+            self._shadow_divergence.observe(
+                abs(expected - mirrored_value), model=name
+            )
 
     @staticmethod
     def _predictions(payload: bytes) -> list[float] | None:

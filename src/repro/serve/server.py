@@ -52,8 +52,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from ..obs.adapters import install_default_sources
-from ..obs.registry import MetricsRegistry, escape_label_value
+from ..obs.adapters import install_default_metrics
 from ..registry.local import ModelRegistry, RegistryError, parse_ref
 from .batcher import BacklogFullError, MicroBatcher
 from .http import HTTPError, HttpServerBase, Request, ServerThreadBase
@@ -110,7 +109,8 @@ class PredictionServer(HttpServerBase):
         shows which shards answered.  ``None`` (default) for standalone
         servers.
     metrics:
-        Optional shared :class:`~repro.serve.metrics.ServingMetrics`.
+        Optional :class:`~repro.serve.metrics.ServingMetrics`; the server's
+        other families join the registry it was declared on.
     """
 
     known_endpoints = ("/v1/predict", "/v1/models", "/healthz", "/metrics")
@@ -142,24 +142,51 @@ class PredictionServer(HttpServerBase):
         self.model_cache_size = model_cache_size
         self.hot_reload_s = hot_reload_s
         self.worker_id = worker_id
+        # Per-server metrics registry: one GET /metrics scrape covers the
+        # request path, the process-wide engine and fitting aggregates and
+        # the per-model batchers.  Private (not the obs default) so several
+        # servers in one process stay independent.
         self.metrics = metrics if metrics is not None else ServingMetrics()
-        # Per-server metrics registry: one GET /metrics scrape merges the
-        # request-path metrics with the process-wide engine and fitting
-        # aggregates plus the per-model batcher backlog.  Private (not the
-        # obs default) so several servers in one process stay independent.
-        self.obs_registry = install_default_sources(
-            MetricsRegistry(), serving=self.metrics.render_prometheus
-        )
-        self.obs_registry.register_source("batcher", self._render_batcher_metrics)
+        self.obs_registry = obs = install_default_metrics(self.metrics.registry)
         self._resident: OrderedDict[str, _ResidentModel] = OrderedDict()
+        obs.gauge(
+            "repro_serve_batcher_backlog",
+            "Rows queued in each resident model's micro-batcher, sampled at "
+            "scrape time.",
+            ("model",),
+        ).set_function(
+            lambda: {key: r.batcher.pending for key, r in self._resident.items()}
+        )
+        obs.counter(
+            "repro_serve_shed_total",
+            "Rows rejected by admission control (--max-backlog) with 429 "
+            "responses.",
+        ).set_function(
+            lambda: sum(r.batcher.stats.shed for r in self._resident.values())
+        )
+        self._hot_reload_loads = 0
+        self._hot_reload_evictions = 0
+        obs.counter(
+            "repro_serve_hot_reload_loads_total",
+            "Artifacts pre-warmed into the resident LRU by the hot-reload "
+            "poller.",
+        ).set_function(lambda: self._hot_reload_loads)
+        obs.counter(
+            "repro_serve_hot_reload_evictions_total",
+            "Residents evicted because their version was tombstoned.",
+        ).set_function(lambda: self._hot_reload_evictions)
+        if worker_id is not None:
+            obs.gauge(
+                "repro_serve_worker_up",
+                "Serving-tier workers that answered this scrape.",
+                ("worker",),
+            ).set(1, worker=worker_id)
         # Remote backends block on sockets; resolve them off the loop.
         # The local directory backend stays inline (a stat + cached dict
         # lookup is cheaper than a thread-pool hop).
         self._offload_registry = not isinstance(registry, ModelRegistry)
         self._reload_task: asyncio.Task | None = None
         self._reload_stop: asyncio.Event | None = None
-        self._hot_reload_loads = 0
-        self._hot_reload_evictions = 0
         # Change-cursor state for the poller: the last cursor returned by
         # the backend's ``changed_models``, and whether that surface is
         # usable at all (None = not probed yet; False = backend or server
@@ -214,53 +241,6 @@ class PredictionServer(HttpServerBase):
 
     def _record_error(self, reason: str) -> None:
         self.metrics.record_error(reason)
-
-    def _render_batcher_metrics(self) -> str:
-        """Backlog gauge, shed counter, and hot-reload counters."""
-        lines = [
-            "# HELP repro_serve_batcher_backlog Rows queued in each "
-            "resident model's micro-batcher, sampled at scrape time.",
-            "# TYPE repro_serve_batcher_backlog gauge",
-        ]
-        shed = 0
-        for key, resident in self._resident.items():
-            lines.append(
-                "repro_serve_batcher_backlog"
-                f'{{model="{escape_label_value(key)}"}} '
-                f"{resident.batcher.pending}"
-            )
-            shed += resident.batcher.stats.shed
-        lines.append(
-            "# HELP repro_serve_shed_total Rows rejected by admission "
-            "control (--max-backlog) with 429 responses."
-        )
-        lines.append("# TYPE repro_serve_shed_total counter")
-        lines.append(f"repro_serve_shed_total {shed}")
-        lines.append(
-            "# HELP repro_serve_hot_reload_loads_total Artifacts pre-warmed "
-            "into the resident LRU by the hot-reload poller."
-        )
-        lines.append("# TYPE repro_serve_hot_reload_loads_total counter")
-        lines.append(f"repro_serve_hot_reload_loads_total {self._hot_reload_loads}")
-        lines.append(
-            "# HELP repro_serve_hot_reload_evictions_total Residents evicted "
-            "because their version was tombstoned."
-        )
-        lines.append("# TYPE repro_serve_hot_reload_evictions_total counter")
-        lines.append(
-            f"repro_serve_hot_reload_evictions_total {self._hot_reload_evictions}"
-        )
-        if self.worker_id is not None:
-            lines.append(
-                "# HELP repro_serve_worker_up Serving-tier workers that "
-                "answered this scrape."
-            )
-            lines.append("# TYPE repro_serve_worker_up gauge")
-            lines.append(
-                "repro_serve_worker_up"
-                f'{{worker="{escape_label_value(str(self.worker_id))}"}} 1'
-            )
-        return "\n".join(lines)
 
     # ------------------------------------------------------------- models
     def _install_resident(self, key: str, artifact, manifest) -> _ResidentModel:
@@ -443,12 +423,7 @@ class PredictionServer(HttpServerBase):
             body = {"status": "ok", "models": len(self.registry.names())}
             return 200, "application/json", json.dumps(body).encode()
         if path == "/metrics":
-            self._require(method, "GET")
-            # The merged registry: serving + engine + fitting + batcher
-            # backlog, one scrape (the serving source is this server's own
-            # ServingMetrics).
-            text = self.obs_registry.render()
-            return 200, "text/plain; version=0.0.4", text.encode()
+            return self._scrape(request)
         if path == "/v1/models":
             self._require(method, "GET")
             body = {"models": [m.to_dict() for m in self.registry.list()]}

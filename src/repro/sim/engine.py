@@ -44,7 +44,7 @@ from ..machine.processor import MulticoreProcessor
 from ..memsys.dram import DRAMModel
 from ..obs.trace import get_tracer
 from ..workloads.app import ApplicationSpec, PhasedApplication
-from .solve_cache import GLOBAL_ENGINE_STATS, EngineStats, SolveCache, solve_key
+from .solve_cache import EngineStats, SolveCache, solve_key
 
 __all__ = [
     "AppRun",
@@ -245,7 +245,8 @@ class SimulationEngine:
         #: Optional memo of steady-state solves; caching is exact because
         #: measurement noise is applied outside the solve.
         self.cache = cache
-        #: Running solve/cache/convergence counters (see :class:`EngineStats`).
+        #: Running solve/cache/convergence counters (see :class:`EngineStats`),
+        #: forwarded to the process-wide aggregate as they are recorded.
         self.stats = EngineStats()
 
     # ------------------------------------------------------------------ API
@@ -428,24 +429,19 @@ class SimulationEngine:
             cached = self.cache.get(key)
             if cached is not None:
                 self.stats.record_hit()
-                GLOBAL_ENGINE_STATS.record_hit()
                 # Re-label with the requested apps/pstate: the cache keys on
                 # behaviour only, so names and run lengths may differ.
                 return replace(cached, apps=apps, pstate=pstate)
             self.stats.record_miss()
-            GLOBAL_ENGINE_STATS.record_miss()
         try:
             state = self._solve_fixed_point(apps, pstate, alloc)
         except ConvergenceError:
             self.stats.record_failure()
-            GLOBAL_ENGINE_STATS.record_failure()
             raise
         self.stats.record_solve(state.iterations)
-        GLOBAL_ENGINE_STATS.record_solve(state.iterations)
         if key is not None:
             if self.cache.put(key, state):
                 self.stats.record_eviction()
-                GLOBAL_ENGINE_STATS.record_eviction()
         return state
 
     def _solve_fixed_point(
@@ -743,12 +739,10 @@ class SimulationEngine:
                 cached = self.cache.get(key)
                 if cached is not None:
                     self.stats.record_hit()
-                    GLOBAL_ENGINE_STATS.record_hit()
                     apps, pstate, _ = entries[i]
                     results[i] = replace(cached, apps=apps, pstate=pstate)
                     continue
                 self.stats.record_miss()
-                GLOBAL_ENGINE_STATS.record_miss()
             pending[key] = [i]
             order.append(key)
         # Pass 2 — one stacked solve over the unique misses.
@@ -761,7 +755,6 @@ class SimulationEngine:
                 members = pending[key]
                 if state is None:
                     self.stats.record_failure()
-                    GLOBAL_ENGINE_STATS.record_failure()
                     for i in members:
                         apps, pstate, _ = entries[i]
                         failures.append(
@@ -774,18 +767,13 @@ class SimulationEngine:
                         )
                     continue
                 self.stats.record_solve(state.iterations)
-                GLOBAL_ENGINE_STATS.record_solve(state.iterations)
                 if self.cache is not None:
                     if self.cache.put(key, state):
                         self.stats.record_eviction()
-                        GLOBAL_ENGINE_STATS.record_eviction()
                 for i in members:
                     apps, pstate, _ = entries[i]
                     results[i] = replace(state, apps=apps, pstate=pstate)
         self.stats.record_batch(len(entries), dedupe_hits, iterations_saved)
-        GLOBAL_ENGINE_STATS.record_batch(
-            len(entries), dedupe_hits, iterations_saved
-        )
         if failures:
             failures.sort(key=lambda f: f.index)
             detail = "; ".join(f.describe() for f in failures)

@@ -231,6 +231,11 @@ class EngineStats:
         Stacked iterations skipped because converged scenarios freeze:
         the sum over batch members of (batch iteration count - member's
         own convergence iteration).
+
+    Every ``record_*`` call on a record other than
+    :data:`GLOBAL_ENGINE_STATS` also counts there, so an event is recorded
+    once and lands in both places.  ``merge`` never forwards: folding a
+    worker's record in is its caller's choice.
     """
 
     solves: int = 0
@@ -260,22 +265,32 @@ class EngineStats:
         self.iteration_counts[iterations] = (
             self.iteration_counts.get(iterations, 0) + 1
         )
+        if self is not GLOBAL_ENGINE_STATS:
+            GLOBAL_ENGINE_STATS.record_solve(iterations)
 
     def record_hit(self) -> None:
         """Count one cache-served request."""
         self.cache_hits += 1
+        if self is not GLOBAL_ENGINE_STATS:
+            GLOBAL_ENGINE_STATS.record_hit()
 
     def record_miss(self) -> None:
         """Count one cache lookup that fell through to a solve."""
         self.cache_misses += 1
+        if self is not GLOBAL_ENGINE_STATS:
+            GLOBAL_ENGINE_STATS.record_miss()
 
     def record_eviction(self) -> None:
         """Count one bounded-cache LRU eviction."""
         self.cache_evictions += 1
+        if self is not GLOBAL_ENGINE_STATS:
+            GLOBAL_ENGINE_STATS.record_eviction()
 
     def record_failure(self) -> None:
         """Count one solve that failed to converge."""
         self.convergence_failures += 1
+        if self is not GLOBAL_ENGINE_STATS:
+            GLOBAL_ENGINE_STATS.record_failure()
 
     def record_batch(
         self, scenarios: int, dedupe_hits: int, iterations_saved: int
@@ -285,6 +300,10 @@ class EngineStats:
         self.batched_scenarios += scenarios
         self.batch_dedupe_hits += dedupe_hits
         self.frozen_iterations_saved += iterations_saved
+        if self is not GLOBAL_ENGINE_STATS:
+            GLOBAL_ENGINE_STATS.record_batch(
+                scenarios, dedupe_hits, iterations_saved
+            )
 
     def merge(self, other: "EngineStats") -> None:
         """Fold another stats record (e.g. a worker process's) into this one."""
@@ -356,8 +375,8 @@ class EngineStats:
         return "\n".join(lines)
 
 
-#: Process-wide aggregate across every engine in this process.  Each solve
-#: feeds both its engine's own ``stats`` and this record; the parallel
-#: layers fold worker-process chunk stats in so one scrape of the metrics
-#: registry (:mod:`repro.obs`) sees the whole run.
+#: Process-wide aggregate across every engine in this process.  Every
+#: other record forwards its events here; the parallel layers fold
+#: worker-process chunk stats in so one scrape of the metrics registry
+#: (:mod:`repro.obs`) sees the whole run.
 GLOBAL_ENGINE_STATS = EngineStats()

@@ -1,22 +1,18 @@
-"""Suite-run counters and their Prometheus exposition.
+"""Suite-run counters.
 
 Mirrors the pattern set by :class:`repro.sim.engine.EngineStats` /
 ``GLOBAL_ENGINE_STATS``: every :class:`~repro.suite.runner.SuiteRunner`
 carries its own :class:`SuiteStats`, and each recording call also bumps
 the process-wide :data:`GLOBAL_SUITE_STATS` aggregate, which is what the
-``/metrics`` endpoint and ``--stats`` flag read.
+``--stats`` flag and the ``repro_suite_*`` families
+(:mod:`repro.obs.adapters`) read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = [
-    "GLOBAL_SUITE_STATS",
-    "SuiteStats",
-    "render_suite_stats",
-    "suite_stats_exposition",
-]
+__all__ = ["GLOBAL_SUITE_STATS", "SuiteStats"]
 
 
 @dataclass
@@ -103,42 +99,3 @@ class SuiteStats:
 
 #: Process-wide aggregate across every runner in this process.
 GLOBAL_SUITE_STATS = SuiteStats()
-
-
-def render_suite_stats(stats: SuiteStats) -> str:
-    """Prometheus text exposition for one :class:`SuiteStats`."""
-    lines = [
-        "# HELP repro_suite_runs_total Suite runs started.",
-        "# TYPE repro_suite_runs_total counter",
-        f"repro_suite_runs_total {stats.runs}",
-        "# HELP repro_suite_nodes_run_total Suite nodes executed.",
-        "# TYPE repro_suite_nodes_run_total counter",
-        f"repro_suite_nodes_run_total {stats.nodes_run}",
-        "# HELP repro_suite_nodes_skipped_total Suite nodes resolved from the store.",
-        "# TYPE repro_suite_nodes_skipped_total counter",
-        f"repro_suite_nodes_skipped_total {stats.nodes_skipped}",
-        "# HELP repro_suite_nodes_failed_total Suite nodes that raised.",
-        "# TYPE repro_suite_nodes_failed_total counter",
-        f"repro_suite_nodes_failed_total {stats.nodes_failed}",
-        "# HELP repro_suite_nodes_resumed_total Store hits left by a prior run.",
-        "# TYPE repro_suite_nodes_resumed_total counter",
-        f"repro_suite_nodes_resumed_total {stats.nodes_resumed}",
-        "# HELP repro_suite_store_hits_total Artifact-store node manifest hits.",
-        "# TYPE repro_suite_store_hits_total counter",
-        f"repro_suite_store_hits_total {stats.store_hits}",
-        "# HELP repro_suite_store_misses_total Artifact-store node manifest misses.",
-        "# TYPE repro_suite_store_misses_total counter",
-        f"repro_suite_store_misses_total {stats.store_misses}",
-        "# HELP repro_suite_solve_cache_loaded_total Solve-cache entries loaded from the store.",
-        "# TYPE repro_suite_solve_cache_loaded_total counter",
-        f"repro_suite_solve_cache_loaded_total {stats.solve_cache_entries_loaded}",
-        "# HELP repro_suite_solve_cache_saved_total Solve-cache entries persisted to the store.",
-        "# TYPE repro_suite_solve_cache_saved_total counter",
-        f"repro_suite_solve_cache_saved_total {stats.solve_cache_entries_saved}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def suite_stats_exposition() -> str:
-    """Exposition for the process-wide aggregate (metrics-source hook)."""
-    return render_suite_stats(GLOBAL_SUITE_STATS)

@@ -1,6 +1,8 @@
 """Tests for the fit-statistics observability counters."""
 
-from repro.core.fitstats import FitStats
+import pytest
+
+from repro.core.fitstats import GLOBAL_FIT_STATS, FitStats
 
 
 class TestRecording:
@@ -73,3 +75,60 @@ class TestDerived:
 
     def test_summary_idle_omits_wall_time_line(self):
         assert "wall time" not in FitStats().summary()
+
+
+class TestGlobalForwarding:
+    """A fit is recorded once and lands in the process-wide aggregate."""
+
+    @staticmethod
+    def _fits() -> tuple:
+        from repro.core.fitstats import GLOBAL_FIT_STATS
+
+        g = GLOBAL_FIT_STATS
+        return (g.fits, g.restarts, g.scg_iterations, g.gradient_evals)
+
+    def test_record_forwards_merge_does_not(self):
+        before = self._fits()
+        stats = FitStats()
+        stats.record_fit(restarts=3, scg_iterations=40, gradient_evals=41)
+        after = self._fits()
+        assert tuple(a - b for a, b in zip(after, before)) == (1, 3, 40, 41)
+        FitStats().merge(stats)
+        assert self._fits() == after
+        GLOBAL_FIT_STATS.record_fit()  # the aggregate counts itself once
+        assert self._fits()[0] == after[0] + 1
+
+    def test_linear_ensemble_members_count_once(self, small_dataset):
+        from repro.core.ensemble import EnsemblePredictor
+        from repro.core.feature_sets import FeatureSet
+        from repro.core.methodology import ModelKind
+
+        before = self._fits()
+        ens = EnsemblePredictor(
+            ModelKind.LINEAR, FeatureSet.F, n_members=3, seed=1
+        )
+        ens.fit(list(small_dataset))
+        assert ens.fit_stats_.fits == 3
+        assert self._fits()[0] - before[0] == 3
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_validation_counts_each_fit_once(self, small_dataset, workers):
+        from repro.core.feature_sets import FeatureSet
+        from repro.core.methodology import ModelKind, evaluate_models
+
+        before = self._fits()
+        stats = FitStats()
+        evaluate_models(
+            list(small_dataset),
+            kinds=(ModelKind.LINEAR, ModelKind.NEURAL),
+            feature_sets=(FeatureSet.B,),
+            repetitions=2,
+            workers=workers,
+            stats=stats,
+        )
+        delta = tuple(a - b for a, b in zip(self._fits(), before))
+        assert delta == (
+            stats.fits, stats.restarts, stats.scg_iterations,
+            stats.gradient_evals,
+        )
+        assert stats.fits == 4

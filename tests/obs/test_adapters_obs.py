@@ -1,10 +1,10 @@
-"""Adapter coverage: engine batch counters and tracer-health exposition.
+"""Built-in family coverage: engine batch counters and tracer health.
 
 The batched-solver counters (``repro_engine_batches_total`` and
-friends) ride the engine adapter onto every server's ``/metrics``; these
-tests pin their rendering and that the tier's merged multi-worker scrape
-sums them correctly.  The ``obs`` source is the drop accounting this PR
-adds: ring-buffer wraps and streaming-queue sheds become
+friends) ride the engine families onto every server's ``/metrics``;
+these tests pin their rendering and that the tier's merged multi-worker
+scrape sums them correctly.  The tracer-health families make span loss
+visible: ring-buffer wraps and streaming-queue sheds become
 ``repro_obs_spans_dropped_total``.
 """
 
@@ -13,16 +13,23 @@ from __future__ import annotations
 import pytest
 
 from repro.obs.adapters import (
-    install_default_sources,
-    obs_stats_exposition,
-    render_engine_stats,
+    install_default_metrics,
+    install_engine_metrics,
+    install_obs_metrics,
 )
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import MetricsRegistry, merge, render
 from repro.obs.stream import SpanSender
 from repro.obs.trace import Tracer, disable, set_tracer
 from repro.serve.client import parse_prometheus
-from repro.serve.metrics import merge_prometheus_texts
 from repro.sim.solve_cache import EngineStats
+
+
+def render_engine_stats(stats: EngineStats) -> str:
+    return install_engine_metrics(MetricsRegistry(), stats).render()
+
+
+def obs_stats_exposition() -> str:
+    return install_obs_metrics(MetricsRegistry()).render()
 
 
 def _stats(batches, scenarios, dedupe, frozen):
@@ -57,11 +64,11 @@ class TestEngineBatchCounters:
     def test_multi_worker_merged_scrape_sums_counters(self):
         # The router merges per-worker expositions; the batch counters
         # must sum across workers like any other counter family.
-        worker_texts = [
-            render_engine_stats(_stats(2, 32, 1, 50)),
-            render_engine_stats(_stats(1, 16, 0, 10)),
+        worker_snapshots = [
+            install_engine_metrics(MetricsRegistry(), stats).collect()
+            for stats in (_stats(2, 32, 1, 50), _stats(1, 16, 0, 10))
         ]
-        merged = parse_prometheus(merge_prometheus_texts(worker_texts))
+        merged = parse_prometheus(render(merge(worker_snapshots)))
         assert merged["repro_engine_batches_total"] == 3
         assert merged["repro_engine_batched_scenarios_total"] == 80
         assert merged["repro_engine_batch_dedupe_hits_total"] == 2
@@ -115,7 +122,7 @@ class TestObsSource:
         ] == 0
 
     def test_registered_as_default_source(self):
-        registry = install_default_sources(MetricsRegistry())
+        registry = install_default_metrics(MetricsRegistry())
         assert "repro_obs_spans_dropped_total" in registry.render()
 
 

@@ -1,7 +1,8 @@
 """Exposition-format conformance for the whole merged scrape.
 
 These tests hold the merged registry output — native families plus the
-engine/fit/serving adapter sources — to the Prometheus text format 0.0.4
+built-in engine/fit families and the serving instruments — to the
+Prometheus text format 0.0.4
 contract: every sample belongs to a family with ``# HELP`` and ``# TYPE``
 lines, histogram buckets are cumulative and monotone with ``+Inf`` equal
 to ``_count``, and label escaping round-trips through the client's
@@ -13,8 +14,8 @@ import math
 import pytest
 
 from repro.core.fitstats import GLOBAL_FIT_STATS
-from repro.obs.adapters import install_default_sources
-from repro.obs.registry import MetricsRegistry, escape_label_value
+from repro.obs.adapters import install_default_metrics
+from repro.obs.registry import escape_label_value
 from repro.serve.client import _parse_sample, parse_prometheus
 from repro.serve.metrics import REQUEST_PHASES, ServingMetrics
 from repro.sim.solve_cache import GLOBAL_ENGINE_STATS
@@ -41,9 +42,7 @@ def scrape() -> str:
     for phase in REQUEST_PHASES:
         serving.record_phase(phase, 0.002)
 
-    registry = install_default_sources(
-        MetricsRegistry(), serving=serving.render_prometheus
-    )
+    registry = install_default_metrics(serving.registry)
     registry.counter("repro_test_jobs_total", "Native counter.").inc(2)
     gauge = registry.gauge("repro_test_info", "Nasty labels.", ("detail",))
     gauge.set(1.5, detail=NASTY)

@@ -12,8 +12,11 @@ from repro.obs.registry import (
     escape_label_value,
     format_value,
     get_registry,
+    merge,
+    render,
     set_registry,
 )
+from repro.serve.client import parse_prometheus
 
 
 class TestCounter:
@@ -142,41 +145,52 @@ class TestMetricsRegistry:
             registry.gauge("jobs_total", "Jobs.")
 
     def test_render_merges_families_and_sources(self):
+        # Pushed families and families read from a record at scrape time
+        # render into one exposition.
         registry = MetricsRegistry()
         registry.counter("native_total", "Native.").inc(4)
-        registry.register_source(
-            "extern", lambda: "# HELP ext_total X.\n# TYPE ext_total counter\next_total 7\n"
-        )
+        record = {"n": 7}
+        registry.counter("ext_total", "X.").set_function(lambda: record["n"])
         text = registry.render()
         assert "native_total 4" in text
         assert "ext_total 7" in text
+        assert "# TYPE ext_total counter" in text
         assert text.endswith("\n")
-        assert registry.source_names == ["extern"]
 
     def test_failing_source_counted_not_fatal(self):
         registry = MetricsRegistry()
 
-        def broken() -> str:
+        def broken() -> float:
             raise RuntimeError("source died")
 
-        registry.register_source("sim", broken)
+        registry.counter("sim", "Broken read.").set_function(broken)
+        registry.counter("ok_total", "Healthy.").inc()
         text = registry.render()
         assert 'repro_obs_source_errors_total{source="sim"} 1' in text
+        assert "ok_total 1" in text
 
     def test_source_replacement_and_removal(self):
+        # Re-installing a series' read replaces it; reset() drops the
+        # pushed series and keeps the reads.
         registry = MetricsRegistry()
-        registry.register_source("s", lambda: "a 1")
-        registry.register_source("s", lambda: "b 2")
-        assert "b 2" in registry.render() and "a 1" not in registry.render()
-        registry.unregister_source("s")
-        registry.unregister_source("s")  # no-op twice
-        assert registry.source_names == []
+        gauge = registry.gauge("g", "G.", ("kind",))
+        gauge.set_function(lambda: 1, kind="read")
+        gauge.set_function(lambda: 2, kind="read")
+        gauge.set(5, kind="pushed")
+        text = registry.render()
+        assert 'g{kind="read"} 2' in text and 'g{kind="read"} 1' not in text
+        assert 'g{kind="pushed"} 5' in text
+        gauge.reset()
+        text = registry.render()
+        assert 'g{kind="pushed"}' not in text
+        assert 'g{kind="read"} 2' in text
 
     def test_default_registry_has_builtin_sources(self):
         registry = get_registry()
         assert get_registry() is registry  # cached
-        assert {"engine", "fit"} <= set(registry.source_names)
         text = registry.render()
+        assert "# TYPE repro_engine_solves_total counter" in text
+        assert "# TYPE repro_fit_fits_total counter" in text
         assert "repro_engine_solves_total" in text
         assert "repro_fit_fits_total" in text
 
@@ -189,3 +203,85 @@ class TestMetricsRegistry:
         finally:
             set_registry(original)
         assert get_registry() is original
+
+
+class TestScrapeReads:
+    def test_family_read_covers_label_sets_known_at_scrape_time(self):
+        counter = Counter("batches_total", "Batches.", ("service",))
+        seen = {"a": 2}
+        counter.set_function(lambda: dict(seen))
+        seen["b"] = 5
+        samples = parse_prometheus("\n".join(counter.render()))
+        assert samples == {
+            'batches_total{service="a"}': 2.0,
+            'batches_total{service="b"}': 5.0,
+        }
+
+    def test_histogram_read_bins_observed_value_counts(self):
+        hist = Histogram("iters", "Iterations.", buckets=(10, 100))
+        hist.set_function(lambda: {5: 3, 50: 1, 500: 2})
+        samples = parse_prometheus("\n".join(hist.render()))
+        assert samples['iters_bucket{le="10"}'] == 3
+        assert samples['iters_bucket{le="100"}'] == 4
+        assert samples['iters_bucket{le="+Inf"}'] == 6
+        assert samples["iters_sum"] == 5 * 3 + 50 + 500 * 2
+
+    def test_invisible_family_is_left_out(self):
+        registry = MetricsRegistry()
+        shown = {"on": False}
+        registry.counter("maybe_total", "Maybe.", visible=lambda: shown["on"])
+        assert "maybe_total" not in registry.render()
+        shown["on"] = True
+        assert "# TYPE maybe_total counter" in registry.render()
+
+
+class TestMerge:
+    def _worker(self, requests, p50, worker, observations=()):
+        registry = MetricsRegistry()
+        registry.counter("req_total", "Requests.", ("code",)).inc(
+            requests, code="200"
+        )
+        registry.gauge("up", "Up.", ("worker",)).set(1, worker=worker)
+        hist = registry.histogram(
+            "lat_seconds", "Latency.", buckets=(0.01, 0.1), quantiles=(50,)
+        )
+        for value in observations:
+            hist.observe(value)
+        if p50 is not None:
+            hist.observe(p50)
+        return registry.collect()
+
+    def test_counters_and_buckets_add_workers_stay_distinct(self):
+        merged = parse_prometheus(
+            render(
+                merge(
+                    [
+                        self._worker(3, 0.005, "0"),
+                        self._worker(4, 0.05, "1", observations=(0.5,)),
+                    ]
+                )
+            )
+        )
+        assert merged['req_total{code="200"}'] == 7
+        assert merged['up{worker="0"}'] == 1
+        assert merged['up{worker="1"}'] == 1
+        assert merged['lat_seconds_bucket{le="0.01"}'] == 1
+        assert merged['lat_seconds_bucket{le="0.1"}'] == 2
+        assert merged['lat_seconds_bucket{le="+Inf"}'] == 3
+        assert merged["lat_seconds_count"] == 3
+        assert merged["lat_seconds_sum"] == pytest.approx(0.555)
+
+    def test_quantiles_take_the_worst_worker_skipping_nan(self):
+        idle = self._worker(0, None, "0")
+        busy = self._worker(1, 0.05, "1")
+        calm = self._worker(1, 0.005, "2")
+        merged = parse_prometheus(render(merge([idle, busy, calm])))
+        assert merged["lat_seconds_p50"] == 0.05
+        only_idle = parse_prometheus(render(merge([idle])))
+        assert math.isnan(only_idle["lat_seconds_p50"])
+
+    def test_snapshot_survives_json(self):
+        import json
+
+        snapshot = json.loads(json.dumps(self._worker(2, 0.005, "0")))
+        assert render(merge([snapshot])) == render(self._worker(2, 0.005, "0"))

@@ -6,11 +6,13 @@ migration, governor), and the drain guarantee, all against a
 path is exercised by ``tests/integration/test_sched_service.py``.
 """
 
+import json
 import time
 
 import pytest
 
 from repro.machine import XEON_E5649
+from repro.obs.trace import Tracer, set_tracer
 from repro.sched.fleet import FleetState, MachineConfig
 from repro.sched.governor import GovernorObjective
 from repro.sched.queue import JobStatus
@@ -21,6 +23,7 @@ from repro.sched.service import (
     SchedulerThread,
 )
 from repro.serve.client import ClientError
+from repro.sim.engine import SimulationEngine
 
 
 def _wait_until(predicate, timeout_s=10.0, interval_s=0.01):
@@ -304,6 +307,86 @@ class TestPredictFailure:
         assert metrics['repro_sched_failures_total{reason="predict"}'] == 1.0
         assert metrics["repro_sched_queue_depth"] == 0.0
         assert handle.server.scorer.calls >= 2
+
+
+class _GovernorOutageScorer(LocalScorer):
+    """Batched predicts work; the governor's single predicts fail."""
+
+    def predict_time(self, target_baseline, co_baselines):
+        raise ConnectionError("prediction tier unavailable")
+
+
+class TestGovernorFailure:
+    def test_governor_outage_keeps_pstate_and_loop(
+        self, sched_predictor, baselines_6core
+    ):
+        """A failing governor predict keeps the node's P-state, is
+        counted with its cause on a span, and the loop places and
+        completes every job."""
+        tracer = Tracer()
+        previous = set_tracer(tracer)
+        handle = SchedulerThread(
+            _fleet(),
+            baselines_6core,
+            scorer=_GovernorOutageScorer(sched_predictor),
+            governor_objective=GovernorObjective.ENERGY,
+        )
+        handle.start()
+        try:
+            with SchedulerClient("127.0.0.1", handle.port) as client:
+                ids = client.submit(["cg", "ep", "sp"])["ids"]
+                assert _wait_until(
+                    lambda: client.jobs()["counts"]["completed"] == len(ids)
+                )
+                assert client.healthz()["status"] == "ok"
+                fastest = XEON_E5649.pstates.fastest.frequency_ghz
+                for job_id in ids:
+                    assert client.job(job_id)["pstate_ghz"] == fastest
+                metrics = client.metrics()
+        finally:
+            handle.stop()  # re-raises if the loop or the drain failed
+            set_tracer(previous)
+        assert metrics['repro_sched_failures_total{reason="governor"}'] == 3.0
+        errors = [
+            s.attributes.get("error")
+            for s in tracer.spans()
+            if s.name == "sched.governor"
+        ]
+        assert errors == ["ConnectionError: prediction tier unavailable"] * 3
+        assert metrics['repro_sched_failures_total{reason="predict"}'] == 0.0
+        assert metrics["repro_sched_placements_total"] == 3.0
+
+
+class _BrokenEngine(SimulationEngine):
+    """An engine whose steady-state solve always fails."""
+
+    def solve_steady_state(self, *args, **kwargs):
+        raise RuntimeError("engine down")
+
+
+class TestLoopHealth:
+    def test_dead_loop_is_reported_by_healthz(self, scorer, baselines_6core):
+        handle = SchedulerThread(
+            _fleet(1),
+            baselines_6core,
+            scorer=scorer,
+            engines=[_BrokenEngine(XEON_E5649)],
+        )
+        handle.start()
+        try:
+            with SchedulerClient("127.0.0.1", handle.port) as client:
+                assert client.healthz()["status"] == "ok"
+                client.submit(["cg"])
+                assert _wait_until(lambda: handle.server._loop_task.done())
+                status, raw, _headers = client._request("GET", "/healthz")
+        finally:
+            # The drain awaits the dead loop and surfaces its error.
+            with pytest.raises(RuntimeError, match="engine down"):
+                handle.stop()
+        assert status == 503
+        body = json.loads(raw)
+        assert body["status"] == "loop_failed"
+        assert "engine down" in body["error"]
 
 
 class TestDrain:

@@ -90,7 +90,7 @@ class TestAgainstRealExposition:
         metrics = ServingMetrics()
         metrics.record_request("/v1/predict", 200, 0.004)
         metrics.record_phase("batch_wait", 0.001)
-        samples = parse_prometheus(metrics.render_prometheus())
+        samples = parse_prometheus(metrics.registry.render())
         assert (
             samples['repro_serve_requests_total{endpoint="/v1/predict",status="200"}']
             == 1.0

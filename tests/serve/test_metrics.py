@@ -4,27 +4,39 @@ import math
 
 import pytest
 
-from repro.serve.metrics import LatencyHistogram, ServingMetrics
+from repro.obs.registry import Histogram
+from repro.serve.client import parse_prometheus
+from repro.serve.metrics import ServingMetrics
+
+
+def latency_histogram(buckets=(0.001, 0.01, 0.1), max_samples=100_000):
+    """The request-latency shape: a histogram keeping a quantile window."""
+    return Histogram(
+        "lat", "Latency.", buckets=buckets, quantiles=(50, 95, 99),
+        max_samples=max_samples,
+    )
 
 
 class TestLatencyHistogram:
     def test_counts_and_mean(self):
-        hist = LatencyHistogram()
+        hist = latency_histogram()
         for v in (0.001, 0.002, 0.003):
             hist.observe(v)
-        assert hist.count == 3
-        assert hist.total == pytest.approx(0.006)
-        assert hist.mean == pytest.approx(0.002)
+        assert hist.count() == 3
+        (family, *_quantiles) = hist.collect()
+        ((_labels, _counts, total),) = family["samples"]
+        assert total == pytest.approx(0.006)
+        assert hist.mean() == pytest.approx(0.002)
 
     def test_empty_percentile_is_nan(self):
-        assert math.isnan(LatencyHistogram().percentile(50))
+        assert math.isnan(latency_histogram().percentile(50))
 
     def test_percentile_bounds(self):
         with pytest.raises(ValueError, match=r"\[0, 100\]"):
-            LatencyHistogram().percentile(101)
+            latency_histogram().percentile(101)
 
     def test_nearest_rank_percentiles(self):
-        hist = LatencyHistogram()
+        hist = latency_histogram()
         for v in range(1, 101):  # 1..100
             hist.observe(float(v))
         assert hist.percentile(50) == 50.0
@@ -33,37 +45,48 @@ class TestLatencyHistogram:
         assert hist.percentile(100) == 100.0
 
     def test_bucketing(self):
-        hist = LatencyHistogram(buckets=(1.0, 10.0))
+        hist = latency_histogram(buckets=(1.0, 10.0))
         for v in (0.5, 0.7, 5.0, 50.0):
             hist.observe(v)
-        assert hist.bucket_counts == [2, 1, 1]  # <=1, <=10, overflow
+        (family, *_quantiles) = hist.collect()
+        ((_labels, counts, _total),) = family["samples"]
+        assert counts == [2, 1, 1]  # <=1, <=10, overflow
 
     def test_merge_requires_same_buckets(self):
         with pytest.raises(ValueError, match="different buckets"):
-            LatencyHistogram(buckets=(1.0,)).merge(LatencyHistogram(buckets=(2.0,)))
+            latency_histogram(buckets=(1.0,)).merge(latency_histogram(buckets=(2.0,)))
 
     def test_merge_accumulates(self):
-        a, b = LatencyHistogram(), LatencyHistogram()
+        a, b = latency_histogram(), latency_histogram()
         a.observe(0.001)
         b.observe(0.002)
         a.merge(b)
-        assert a.count == 2
+        assert a.count() == 2
         assert a.percentile(100) == 0.002
 
     def test_reset(self):
-        hist = LatencyHistogram()
+        hist = latency_histogram()
         hist.observe(1.0)
         hist.reset()
-        assert hist.count == 0
+        assert hist.count() == 0
         assert math.isnan(hist.percentile(50))
 
     def test_sample_window_caps_memory(self):
-        hist = LatencyHistogram(max_samples=10)
+        hist = latency_histogram(max_samples=10)
         for v in range(100):
             hist.observe(float(v))
-        assert hist.count == 100          # counters stay exact
-        assert len(hist._samples) == 10   # window capped
+        assert hist.count() == 100        # counters stay exact
+        (series,) = hist._values.values()
+        assert len(series.window) == 10   # window capped
         assert hist.percentile(100) == 99.0  # recent values retained
+
+    def test_quantile_gauges_render_as_their_own_families(self):
+        hist = latency_histogram()
+        hist.observe(0.002)
+        text = "\n".join(hist.render())
+        for q in ("p50", "p95", "p99"):
+            assert f"# TYPE lat_{q} gauge" in text
+        assert parse_prometheus(text)["lat_p50"] == 0.002
 
 
 class TestServingMetrics:
@@ -75,7 +98,7 @@ class TestServingMetrics:
         metrics.record_request("/v1/predict", 400, 0.0001)
         assert metrics.requests_total[("/v1/predict", 200)] == 2
         assert metrics.request_count == 4
-        assert metrics.latency.count == 4
+        assert metrics.latency.count() == 4
 
     def test_error_and_prediction_counters(self):
         metrics = ServingMetrics()
@@ -102,7 +125,7 @@ class TestServingMetrics:
         a.merge(b)
         assert a.requests_total[("/v1/predict", 200)] == 2
         assert a.errors_total == {"internal": 1}
-        assert a.batch_sizes.count == 1
+        assert a.batch_sizes.count() == 1
 
     def test_reset(self):
         metrics = ServingMetrics()
@@ -110,7 +133,7 @@ class TestServingMetrics:
         metrics.record_batch(2)
         metrics.reset()
         assert metrics.request_count == 0
-        assert metrics.batch_sizes.count == 0
+        assert metrics.batch_sizes.count() == 0
 
 
 class TestPrometheusRendering:
@@ -126,7 +149,7 @@ class TestPrometheusRendering:
         metrics.record_model_cache(hit=True)
         metrics.record_batch(1)
         metrics.record_batch(3)
-        return metrics.render_prometheus()
+        return metrics.registry.render()
 
     def test_counter_lines(self, rendered):
         assert (
@@ -150,7 +173,7 @@ class TestPrometheusRendering:
         assert 'repro_serve_request_latency_seconds_bucket{le="+Inf"} 4' in rendered
         assert "repro_serve_request_latency_seconds_count 4" in rendered
         # Batch-size histogram: both flushes land at or below the le=4 bound.
-        assert 'repro_serve_batch_size_bucket{le="4.0"} 2' in rendered
+        assert 'repro_serve_batch_size_bucket{le="4"} 2' in rendered
         assert "repro_serve_batch_size_count 2" in rendered
 
     def test_quantile_gauges_present(self, rendered):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 
 import pytest
 
@@ -20,8 +21,15 @@ from repro.core.ensemble import EnsemblePredictor
 from repro.core.feature_sets import FeatureSet
 from repro.core.methodology import ModelKind
 from repro.registry.local import ModelRegistry
-from repro.serve.client import ClientError, PredictionClient
-from repro.serve.router import ServingTier, parse_canary, parse_shadow
+from repro.serve.client import ClientError, PredictionClient, parse_prometheus
+from repro.serve.router import (
+    RouterServer,
+    ServingTier,
+    _RouterThread,
+    parse_canary,
+    parse_shadow,
+)
+from repro.serve.server import ServerThread
 from repro.serve.shard import shard_for
 
 
@@ -214,10 +222,10 @@ class TestShadow:
         assert count >= n
         # Different bootstrap seeds genuinely disagree: the divergence
         # sum is positive and not every observation landed in the
-        # bit-identical (le="0.0") bucket.
+        # bit-identical (le="0") bucket.
         assert samples['repro_serve_shadow_divergence_sum{model="band"}'] > 0.0
         identical = samples[
-            'repro_serve_shadow_divergence_bucket{le="0.0",model="band"}'
+            'repro_serve_shadow_divergence_bucket{le="0",model="band"}'
         ]
         assert identical < count
         assert samples['repro_serve_shadow_errors_total{model="band"}'] == 0.0
@@ -245,6 +253,37 @@ class TestMergedMetrics:
         assert worker_ok >= 4.0
         assert router_ok >= 4.0
         assert samples["repro_serve_predictions_total"] >= 4.0
+
+    def test_unreachable_worker_is_reported_not_fatal(
+        self, tier_registry, feature_dicts
+    ):
+        """One live worker, one port nobody listens on: the scrape still
+        answers, counts the failed worker and carries the live one's
+        series."""
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            dead_port = probe.getsockname()[1]
+        live_index = shard_for("point", 2)  # the shard owning "point"
+        with ServerThread(tier_registry, worker_id=live_index) as live:
+            ports = [dead_port, dead_port]
+            ports[live_index] = live.port
+            router = RouterServer(ports, tier_registry)
+            with _RouterThread(router) as front:
+                with PredictionClient("127.0.0.1", front.port) as client:
+                    client.predict(feature_dicts[0], model="point@1")
+                    status, raw, _headers = client._request("GET", "/metrics")
+        assert status == 200
+        samples = parse_prometheus(raw.decode())
+        assert samples["repro_serve_worker_scrape_errors"] == 1.0
+        up = {f'repro_serve_worker_up{{worker="{i}"}}' for i in (0, 1)}
+        assert {key for key in up if key in samples} == {
+            f'repro_serve_worker_up{{worker="{live_index}"}}'
+        }
+        assert samples["repro_serve_predictions_total"] == 1.0
+        assert samples["repro_serve_workers"] == 2.0
+
+    def test_healthy_scrape_has_no_scrape_error_family(self, client):
+        assert "repro_serve_worker_scrape_errors" not in client.metrics_text()
 
     def test_all_versions_of_a_name_share_one_shard(self, client, tier):
         # The canary/shadow versions must batch on the same worker as

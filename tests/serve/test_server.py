@@ -6,6 +6,8 @@ manager sidecar would.
 """
 
 import concurrent.futures
+import json
+import socket
 import threading
 
 import numpy as np
@@ -172,6 +174,27 @@ class TestPredictValidation:
         response = conn.getresponse()
         assert response.status == 400
         conn.close()
+
+
+class TestRequestFraming:
+    @pytest.mark.parametrize("length", ["abc", "-5", "1.5", "+3", "\u00b2"])
+    def test_bad_content_length_is_a_counted_400(self, server, client, length):
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+            sock.sendall(
+                b"POST /v1/predict HTTP/1.1\r\nHost: t\r\n"
+                b"Content-Length: " + length.encode("latin-1") + b"\r\n\r\n{}"
+            )
+            response = b""
+            while chunk := sock.recv(4096):
+                response += chunk
+        head, _sep, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        assert b"Content-Length" in json.loads(body)["error"].encode()
+        samples = client.metrics()
+        assert samples['repro_serve_errors_total{reason="bad_request"}'] == 1.0
+        # The server still answers on fresh connections.
+        assert client.healthz()["status"] == "ok"
 
 
 class TestMetricsEndpoint:

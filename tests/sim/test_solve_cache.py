@@ -183,3 +183,80 @@ class TestEngineStats:
         twelve.baseline(get_application("canneal"))
         assert twelve.stats.cache_hits == 0
         assert twelve.stats.solves == 1
+
+
+def _counts(stats: EngineStats) -> dict:
+    return {
+        "solves": stats.solves,
+        "hits": stats.cache_hits,
+        "misses": stats.cache_misses,
+        "failures": stats.convergence_failures,
+        "batches": stats.batches,
+        "scenarios": stats.batched_scenarios,
+        "iterations": dict(stats.iteration_counts),
+    }
+
+
+def _delta(after: dict, before: dict) -> dict:
+    out = {k: after[k] - before[k] for k in after if k != "iterations"}
+    out["iterations"] = {
+        i: n - before["iterations"].get(i, 0)
+        for i, n in after["iterations"].items()
+        if n != before["iterations"].get(i, 0)
+    }
+    return out
+
+
+class TestGlobalForwarding:
+    """An engine's record counts each event once, in both places."""
+
+    def test_records_forward_merges_do_not(self):
+        from repro.sim.solve_cache import GLOBAL_ENGINE_STATS
+
+        before = _counts(GLOBAL_ENGINE_STATS)
+        stats = EngineStats()
+        stats.record_solve(12)
+        stats.record_hit()
+        stats.record_miss()
+        stats.record_failure()
+        stats.record_eviction()
+        stats.record_batch(scenarios=3, dedupe_hits=1, iterations_saved=4)
+        assert _delta(_counts(GLOBAL_ENGINE_STATS), before) == _counts(stats)
+        mid = _counts(GLOBAL_ENGINE_STATS)
+        EngineStats().merge(stats)  # folding a record in forwards nothing
+        assert _counts(GLOBAL_ENGINE_STATS) == mid
+        GLOBAL_ENGINE_STATS.record_hit()  # the aggregate counts itself once
+        assert _delta(_counts(GLOBAL_ENGINE_STATS), mid)["hits"] == 1
+
+    def test_engine_solves_land_once_in_the_global(self):
+        from repro.sim.solve_cache import GLOBAL_ENGINE_STATS
+
+        engine = SimulationEngine(XEON_E5649, cache=SolveCache())
+        before = _counts(GLOBAL_ENGINE_STATS)
+        engine.baseline(get_application("cg"))
+        engine.baseline(get_application("cg"))  # a cache hit
+        assert engine.stats.cache_hits == 1
+        assert _delta(_counts(GLOBAL_ENGINE_STATS), before) == _counts(
+            engine.stats
+        )
+
+    def test_parallel_collection_counts_once(self):
+        from repro.harness.parallel import map_scenario_batches
+        from repro.sim.solve_cache import GLOBAL_ENGINE_STATS
+
+        engine = SimulationEngine(XEON_E5649, cache=SolveCache())
+        apps = [get_application(n) for n in ("cg", "ep")]
+        payloads = [(app, p) for app in apps for p in engine.processor.pstates]
+        before = _counts(GLOBAL_ENGINE_STATS)
+        map_scenario_batches(engine, _baseline_payloads, payloads, workers=2)
+        assert engine.stats.requests == len(payloads)
+        assert _delta(_counts(GLOBAL_ENGINE_STATS), before) == _counts(
+            engine.stats
+        )
+
+
+def _baseline_payloads(engine, payloads):
+    return [
+        engine.run(app, (), pstate=pstate).target.execution_time_s
+        for app, pstate in payloads
+    ]

@@ -113,9 +113,10 @@ class TestEvictionCounter:
         )
 
     def test_prometheus_exposition_includes_evictions(self):
-        from repro.obs.adapters import render_engine_stats
+        from repro.obs.adapters import install_engine_metrics
+        from repro.obs.registry import MetricsRegistry
 
         stats = EngineStats()
         stats.record_eviction()
-        text = render_engine_stats(stats)
+        text = install_engine_metrics(MetricsRegistry(), stats).render()
         assert "repro_engine_cache_evictions_total 1" in text

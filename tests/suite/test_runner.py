@@ -239,17 +239,18 @@ class TestStats:
         assert GLOBAL_SUITE_STATS.nodes_run == before + 3
 
     def test_prometheus_rendering(self):
-        from repro.suite import render_suite_stats
+        from repro.obs import MetricsRegistry
+        from repro.obs.adapters import install_suite_metrics
 
         stats = SuiteStats(nodes_run=4, nodes_skipped=2, store_hits=2)
-        text = render_suite_stats(stats)
+        text = install_suite_metrics(MetricsRegistry(), stats).render()
         assert "repro_suite_nodes_run_total 4" in text
         assert "repro_suite_nodes_skipped_total 2" in text
         assert "# TYPE repro_suite_store_hits_total counter" in text
 
     def test_registry_scrape_includes_suite_family(self):
-        from repro.obs import MetricsRegistry, install_default_sources
+        from repro.obs import MetricsRegistry, install_default_metrics
 
-        registry = install_default_sources(MetricsRegistry())
+        registry = install_default_metrics(MetricsRegistry())
         text = registry.render()
         assert "repro_suite_nodes_run_total" in text
